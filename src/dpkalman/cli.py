@@ -26,7 +26,7 @@ from .calibration import (
     calibrate_aposteriori,
     calibrate_apriori,
 )
-from .config import Config, build_agents, build_privacy, load_config, resolve_sigma
+from .config import Config, build_agents, build_privacy, load_config
 from .errors import (
     ConfigError,
     DPKalmanError,
@@ -38,6 +38,7 @@ from .errors import (
 from .filtering import solve_filter
 from .linalg import solve_dare
 from .network import compose, per_agent_slices
+from .privacy import noise_scales
 from .simulation import SimulationConfig, simulate, write_csv
 
 
@@ -142,10 +143,12 @@ def _cmd_bounds(args) -> int:
     config = load_config(args.config)
     system = _system_of(config)
     privacy = _need(config.privacy, "privacy")
-    sigma = resolve_sigma(system, privacy)
+    sigma, compliant = noise_scales(system, privacy.epsilon, privacy.delta,
+                                    privacy.adjacency_B, privacy.sigma)
     reports = all_bounds(system, sigma)
     doc = {kind: rep.to_dict() for kind, rep in reports.items()}
     doc["sigma"] = [float(s) for s in sigma]
+    doc["privacy_compliant"] = compliant
     _emit(doc, args.json)
     return EXIT_OK
 
@@ -167,9 +170,11 @@ def _cmd_dare(args) -> int:
     config = load_config(args.config)
     system = _system_of(config)
     privacy = _need(config.privacy, "privacy")
-    sigma = resolve_sigma(system, privacy)
-    ric = solve_dare(system, np.diag(sigma**2))
-    print(json.dumps(_riccati_summary(ric), indent=2))
+    sigma, compliant = noise_scales(system, privacy.epsilon, privacy.delta,
+                                    privacy.adjacency_B, privacy.sigma)
+    doc = _riccati_summary(solve_dare(system, np.diag(sigma**2)))
+    doc["privacy_compliant"] = compliant
+    _emit(doc, args.json)
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError
 from .linalg import SystemModel
 from .network import AgentSpec
-from .privacy import PrivacyConfig, gaussian_sigma, sensitivity_bound
+from .privacy import PrivacyConfig
 
 
 @dataclass(frozen=True)
@@ -275,20 +275,6 @@ def config_to_dict(config: Config) -> dict:
             "B_u": config.calibration.B_u,
         }
     return out
-
-
-def resolve_sigma(system: SystemModel, spec: PrivacySpec) -> np.ndarray:
-    """Per-channel noise scales: the override if present, else the minimal
-    compliant isotropic scale for (epsilon, delta) and the output sensitivity."""
-    if spec.sigma is not None:
-        if isinstance(spec.sigma, tuple):
-            vec = np.array(spec.sigma, dtype=float)
-            if vec.shape[0] != system.q:
-                raise ConfigError(f"privacy.sigma has {vec.shape[0]} entries, system has {system.q} channels")
-            return vec
-        return np.full(system.q, float(spec.sigma))
-    sens = sensitivity_bound(system.C, spec.adjacency_B)
-    return np.full(system.q, gaussian_sigma(spec.epsilon, spec.delta, sens))
 
 
 def build_privacy(system: SystemModel, spec: PrivacySpec) -> PrivacyConfig:

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
-from .linalg import RiccatiSolution, SystemModel, as_vector, solve_dare
+from .errors import DimensionMismatchError
+from .linalg import RiccatiSolution, SystemModel, as_matrix, as_vector, solve_dare
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,32 +43,29 @@ def solve_filter(system: SystemModel, sigma) -> FilterSolution:
     return FilterSolution(system=system, V=V, riccati=solve_dare(system, V))
 
 
-def predict(sol: FilterSolution, x_hat) -> np.ndarray:
-    """One-step state prediction H x_hat."""
-    return sol.system.H @ as_vector(x_hat, "x_hat", length=sol.system.n)
+def filter_step(sol: FilterSolution, x_hat_prior, y_tilde) -> tuple[np.ndarray, np.ndarray]:
+    """One fixed-gain step on arrays with any leading batch axes.
 
-
-def update(sol: FilterSolution, x_hat_prior, y_tilde) -> np.ndarray:
-    """Measurement update: prediction plus gain times the innovation."""
-    x_hat_prior = as_vector(x_hat_prior, "x_hat_prior", length=sol.system.n)
-    y_tilde = as_vector(y_tilde, "y_tilde", length=sol.system.q)
-    innovation = y_tilde - sol.system.C @ x_hat_prior
-    return x_hat_prior + sol.riccati.gain @ innovation
+    Returns the estimate x_hat = x_hat_prior + K (y_tilde - C x_hat_prior) and
+    the next prediction H x_hat. Inputs are not validated here; callers check
+    shapes once per trajectory.
+    """
+    C, H = sol.system.C, sol.system.H
+    x_hat = x_hat_prior + (y_tilde - x_hat_prior @ C.T) @ sol.riccati.gain.T
+    return x_hat, x_hat @ H.T
 
 
 def run_filter(sol: FilterSolution, y_tilde, x0_hat) -> list[FilterState]:
     """Filter a whole (T, q) trajectory starting from the prediction ``x0_hat``."""
-    y_tilde = np.asarray(y_tilde, dtype=float)
-    if y_tilde.ndim != 2 or y_tilde.shape[0] == 0:
-        raise ValidationError(f"y_tilde must be a nonempty (T, q) array, got shape {y_tilde.shape}")
+    y_tilde = as_matrix(y_tilde, "y_tilde")
     if y_tilde.shape[1] != sol.system.q:
         raise DimensionMismatchError(
             f"y_tilde has {y_tilde.shape[1]} channels, system has {sol.system.q}"
         )
     prior = as_vector(x0_hat, "x0_hat", length=sol.system.n)
     states = []
-    for k in range(y_tilde.shape[0]):
-        est = update(sol, prior, y_tilde[k])
+    for k, y in enumerate(y_tilde):
+        est, next_prior = filter_step(sol, prior, y)
         states.append(FilterState(k=k, x_hat_prior=prior, x_hat=est))
-        prior = predict(sol, est)
+        prior = next_prior
     return states

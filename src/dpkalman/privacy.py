@@ -109,6 +109,31 @@ def gaussian_sigma(epsilon: float, delta: float, sensitivity: float) -> float:
     return sensitivity / (2.0 * epsilon) * (k + math.sqrt(k * k + 2.0 * epsilon))
 
 
+def meets_minimum(sigma, minimal: float) -> bool:
+    """True unless some scale falls below ``minimal`` beyond the rounding slack."""
+    return not np.any(np.asarray(sigma) < minimal * (1.0 - SIGMA_ROUNDING_SLACK))
+
+
+def noise_scales(system, epsilon: float, delta: float, adjacency_B: float,
+                 sigma=None) -> tuple[np.ndarray, bool]:
+    """Per-channel noise scales for ``system`` and whether they are compliant.
+
+    ``sigma`` defaults to the minimal isotropic scale for (epsilon, delta) and
+    the output sensitivity; a scalar applies to every channel and a sequence
+    needs one nonnegative entry per channel. Compliance is
+    :func:`meets_minimum` against that minimal scale.
+    """
+    minimal = gaussian_sigma(epsilon, delta, sensitivity_bound(system.C, adjacency_B))
+    if sigma is None:
+        sigma = minimal
+    if np.ndim(sigma) == 0:
+        sigma = np.full(system.q, float(sigma))
+    vec = as_vector(sigma, "sigma", length=system.q)
+    if np.any(vec < 0.0):
+        raise NonPositiveSigmaError("noise scales must be nonnegative")
+    return vec, meets_minimum(vec, minimal)
+
+
 def privatize(y, sigma, rng_seed: int, *, stream_index: int = 0) -> np.ndarray:
     """Add independent per-channel Gaussian noise to an output trajectory.
 
@@ -162,7 +187,7 @@ class PrivacyConfig:
         if np.any(vec < 0.0):
             raise NonPositiveSigmaError("noise scales must be nonnegative")
         floor = gaussian_sigma(self.epsilon, self.delta, self.sensitivity)
-        if np.any(vec < floor * (1.0 - SIGMA_ROUNDING_SLACK)):
+        if not meets_minimum(vec, floor):
             raise ValidationError(
                 f"noise scale below the ({self.epsilon}, {self.delta}) minimum {floor:.6g}: "
                 f"got {vec.min():.6g}"
@@ -173,20 +198,8 @@ class PrivacyConfig:
     @classmethod
     def for_system(cls, system, epsilon: float, delta: float, adjacency_B: float,
                    sigma=None) -> "PrivacyConfig":
-        """Build a config for ``system``, defaulting to the minimal isotropic scale.
-
-        ``sigma`` may be a scalar or a length-q vector overriding the default.
-        """
-        sens = sensitivity_bound(system.C, adjacency_B)
-        k = q_inverse(delta)
-        minimal = gaussian_sigma(epsilon, delta, sens)
-        if sigma is None:
-            vec = np.full(system.q, minimal)
-        else:
-            vec = np.asarray(sigma, dtype=float)
-            if vec.ndim == 0:
-                vec = np.full(system.q, float(vec))
-            else:
-                vec = as_vector(vec, "sigma", length=system.q)
+        """Build a config for ``system`` with the scales of :func:`noise_scales`."""
+        vec, _ = noise_scales(system, epsilon, delta, adjacency_B, sigma)
         return cls(epsilon=epsilon, delta=delta, adjacency_B=adjacency_B,
-                   sensitivity=sens, k_delta=k, sigma=vec)
+                   sensitivity=sensitivity_bound(system.C, adjacency_B),
+                   k_delta=q_inverse(delta), sigma=vec)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .bounds import aposteriori_trace_bounds, apriori_trace_bounds
 from .errors import ValidationError
-from .filtering import FilterSolution, solve_filter
+from .filtering import FilterSolution, filter_step, solve_filter
 from .linalg import SystemModel, as_matrix, require_symmetric, symmetric_factor
 from .network import NetworkModel
 from .privacy import PrivacyConfig
@@ -77,19 +77,6 @@ class SimulationConfig:
 
 
 @dataclass(frozen=True)
-class SimulationRecord:
-    """Squared errors at one step of one trial, with the constant bounds."""
-
-    k: int
-    sq_err_prior: float
-    sq_err_post: float
-    bound_prior_lo: float
-    bound_prior_hi: float
-    bound_post_lo: float
-    bound_post_hi: float
-
-
-@dataclass(frozen=True)
 class SimulationSummary:
     """Trial-and-time averages past the burn-in, with Monte Carlo standard errors."""
 
@@ -133,26 +120,13 @@ class SimulationResult:
     def horizon_T(self) -> int:
         return self.sq_err_prior.shape[1]
 
-    def trial_records(self, trial: int) -> list[SimulationRecord]:
-        return [
-            SimulationRecord(
-                k=k,
-                sq_err_prior=float(self.sq_err_prior[trial, k]),
-                sq_err_post=float(self.sq_err_post[trial, k]),
-                bound_prior_lo=self.bound_prior[0],
-                bound_prior_hi=self.bound_prior[1],
-                bound_post_lo=self.bound_post[0],
-                bound_post_hi=self.bound_post[1],
-            )
-            for k in range(self.horizon_T)
-        ]
 
-
-def _run_trials(lo: int, hi: int, system: SystemModel, gain: np.ndarray,
-                sigma: np.ndarray, seed: int, T: int, x0_factor: np.ndarray | None,
+def _run_trials(lo: int, hi: int, sol: FilterSolution, sigma: np.ndarray, seed: int,
+                T: int, x0_factor: np.ndarray | None,
                 out_prior: np.ndarray, out_post: np.ndarray) -> None:
     # Fills rows [lo, hi) of the output arrays; noise is keyed per trial so the
     # result is independent of how trials are chunked.
+    system = sol.system
     H, C, x0 = system.H, system.C, system.x0_hat
     n, q = system.n, system.q
     m = hi - lo
@@ -167,12 +141,11 @@ def _run_trials(lo: int, hi: int, system: SystemModel, gain: np.ndarray,
             x[i] += x0_factor @ gaussian_generator(seed, trial=trial, stream=STREAM_INIT).standard_normal(n)
     x_prior = np.tile(x0, (m, 1))
     for k in range(T):
-        y_tilde = x @ C.T + v_noise[:, k, :]
-        x_hat = x_prior + (y_tilde - x_prior @ C.T) @ gain.T
+        x_hat, next_prior = filter_step(sol, x_prior, x @ C.T + v_noise[:, k, :])
         out_prior[lo:hi, k] = ((x - x_prior) ** 2).sum(axis=1)
         out_post[lo:hi, k] = ((x - x_hat) ** 2).sum(axis=1)
         x = x @ H.T + w_noise[:, k, :]
-        x_prior = x_hat @ H.T
+        x_prior = next_prior
 
 
 def simulate(config: SimulationConfig, *, threads: int = 1) -> SimulationResult:
@@ -192,7 +165,7 @@ def simulate(config: SimulationConfig, *, threads: int = 1) -> SimulationResult:
     x0_factor = symmetric_factor(config.x0_cov) if config.x0_cov is not None else None
 
     threads = max(1, int(threads))
-    args = (system, sol.riccati.gain, sigma, config.seed, T, x0_factor, out_prior, out_post)
+    args = (sol, sigma, config.seed, T, x0_factor, out_prior, out_post)
     if threads == 1 or trials == 1:
         _run_trials(0, trials, *args)
     else:
@@ -231,30 +204,19 @@ def simulate(config: SimulationConfig, *, threads: int = 1) -> SimulationResult:
     )
 
 
-def bound_violation_stats(records) -> dict[str, float]:
+def bound_violation_stats(result: SimulationResult) -> dict[str, float]:
     """Fraction of steps whose instantaneous squared error leaves the MSE bounds.
 
-    Accepts a :class:`SimulationResult` or any nonempty iterable of
-    :class:`SimulationRecord`. The bounds govern averages, not samples, so
-    these fractions are descriptive rather than asserted.
+    The bounds govern averages, not samples, so these fractions are
+    descriptive rather than asserted.
     """
-    if isinstance(records, SimulationResult):
-        p_lo, p_hi = records.bound_prior
-        e_lo, e_hi = records.bound_post
-        prior_out = (records.sq_err_prior < p_lo) | (records.sq_err_prior > p_hi)
-        post_out = (records.sq_err_post < e_lo) | (records.sq_err_post > e_hi)
-        return {
-            "frac_steps_prior_outside": float(prior_out.mean()),
-            "frac_steps_post_outside": float(post_out.mean()),
-        }
-    items = list(records)
-    if not items:
-        raise ValidationError("records must be nonempty")
-    prior_hits = sum(1 for r in items if not r.bound_prior_lo <= r.sq_err_prior <= r.bound_prior_hi)
-    post_hits = sum(1 for r in items if not r.bound_post_lo <= r.sq_err_post <= r.bound_post_hi)
+    p_lo, p_hi = result.bound_prior
+    e_lo, e_hi = result.bound_post
+    prior_out = (result.sq_err_prior < p_lo) | (result.sq_err_prior > p_hi)
+    post_out = (result.sq_err_post < e_lo) | (result.sq_err_post > e_hi)
     return {
-        "frac_steps_prior_outside": prior_hits / len(items),
-        "frac_steps_post_outside": post_hits / len(items),
+        "frac_steps_prior_outside": float(prior_out.mean()),
+        "frac_steps_post_outside": float(post_out.mean()),
     }
 
 

@@ -132,6 +132,31 @@ class TestBoundsCommand:
         assert "diagonal" in err
 
 
+class TestPrivacyCompliance:
+    @pytest.mark.parametrize("sigma,compliant", [(None, True), (2.96, True), (0.1, False)])
+    @pytest.mark.parametrize("command", ["bounds", "dare"])
+    def test_flag_in_json(self, command, sigma, compliant, write_config, capsys):
+        doc = case_study_doc()
+        if sigma is not None:
+            doc["privacy"]["sigma"] = sigma  # 2.96 is within the rounding slack of 2.9663
+        path = write_config(doc)
+        code, out, _ = run(capsys, command, "--config", path, "--json")
+        assert code == 0
+        assert strict_json(out)["privacy_compliant"] is compliant
+
+    def test_wrong_length_sigma_same_error_everywhere(self, write_config, capsys):
+        doc = case_study_doc()
+        doc["privacy"]["sigma"] = [3.0, 3.0, 3.0]
+        path = write_config(doc)
+        errors = set()
+        for command in ("bounds", "dare", "simulate"):
+            code, _, err = run(capsys, command, "--config", path, "--json")
+            assert code == 1
+            errors.add(err)
+        assert len(errors) == 1
+        assert "length 2" in errors.pop()
+
+
 class TestDareCommand:
     def test_scalar_closed_form(self, write_config, capsys):
         doc = {
@@ -144,7 +169,7 @@ class TestDareCommand:
             "privacy": {"epsilon": 1.0, "delta": 0.01, "adjacency_B": 1.0, "sigma": 1.0},
         }
         path = write_config(doc)
-        code, out, _ = run(capsys, "dare", "--config", path)
+        code, out, _ = run(capsys, "dare", "--config", path, "--json")
         assert code == 0
         payload = json.loads(out)
         assert payload["trace_prior"] == pytest.approx((1.0 + math.sqrt(5.0)) / 2.0, abs=1e-8)
@@ -152,7 +177,7 @@ class TestDareCommand:
 
     def test_case_study_inside_window(self, write_config, capsys):
         path = write_config(case_study_doc())
-        code, out, _ = run(capsys, "dare", "--config", path)
+        code, out, _ = run(capsys, "dare", "--config", path, "--json")
         assert code == 0
         payload = json.loads(out)
         assert 34.0 <= payload["trace_prior"] <= 46.4
@@ -172,6 +197,13 @@ class TestDareCommand:
         code, _, err = run(capsys, "dare", "--config", path)
         assert code == 3
         assert "singular" in err.lower()
+
+    def test_human_output_without_json_flag(self, write_config, capsys):
+        path = write_config(case_study_doc())
+        code, out, _ = run(capsys, "dare", "--config", path)
+        assert code == 0
+        assert out.startswith("trace_prior: ")
+        assert "privacy_compliant: True" in out
 
 
 class TestSimulateCommand:
@@ -329,6 +361,7 @@ class TestExitTaxonomy:
             (lambda d: d["privacy"].update(delta=0.7), "bounds", 1),
             (lambda d: d["calibration"].update(B_l=34.0, B_u=46.0), "calibrate", 2),
             (lambda d: d["privacy"].update(sigma=0.0), "dare", 3),
+            (lambda d: d["privacy"].update(sigma=-3.0), "dare", 1),
             (lambda d: None, "dare", 0),
         ],
     )

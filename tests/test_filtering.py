@@ -7,10 +7,8 @@ from dpkalman import (
     DimensionMismatchError,
     SystemModel,
     ValidationError,
-    predict,
     run_filter,
     solve_filter,
-    update,
 )
 from helpers import case_study_system, reference_paths
 
@@ -24,27 +22,43 @@ def scalar_solution():
     return solve_filter(system, np.array([1.0]))
 
 
+def first_estimate(sol, prior, observed):
+    """Estimate after one step from ``prior`` with output ``observed``."""
+    return run_filter(sol, np.atleast_2d(observed), prior)[0].x_hat
+
+
+def predicted(sol, x_hat):
+    """Prediction made from the estimate ``x_hat``: a zero-innovation first
+    step leaves the estimate at its prior, and the second step's prior is
+    H times it."""
+    x_hat = np.asarray(x_hat, dtype=float)
+    states = run_filter(sol, np.tile(sol.system.C @ x_hat, (2, 1)), x_hat)
+    np.testing.assert_array_equal(states[0].x_hat, x_hat)
+    np.testing.assert_array_equal(states[1].x_hat_prior, sol.system.H @ states[0].x_hat)
+    return states[1].x_hat_prior
+
+
 class TestPredict:
     def test_identity_dynamics(self):
         system = SystemModel(H=np.eye(2), C=np.eye(2), W=np.eye(2), x0_hat=np.zeros(2))
         sol = solve_filter(system, np.ones(2))
-        np.testing.assert_array_equal(predict(sol, [1.5, -2.0]), [1.5, -2.0])
+        np.testing.assert_array_equal(predicted(sol, [1.5, -2.0]), [1.5, -2.0])
 
     def test_zero_dynamics(self):
         system = SystemModel(H=np.zeros((2, 2)), C=np.eye(2), W=np.eye(2), x0_hat=np.zeros(2))
         sol = solve_filter(system, np.ones(2))
-        np.testing.assert_array_equal(predict(sol, [1.0, 2.0]), [0.0, 0.0])
+        np.testing.assert_array_equal(predicted(sol, [1.0, 2.0]), [0.0, 0.0])
 
     def test_case_study_step(self):
         sol = solve_filter(case_study_system(), np.full(2, 2.9663))
-        np.testing.assert_allclose(predict(sol, [2.0, 3.0]), [5.0, 3.0])
+        np.testing.assert_allclose(predicted(sol, [2.0, 3.0]), [5.0, 3.0])
 
 
 class TestUpdate:
     def test_zero_innovation_is_noop(self):
         sol = solve_filter(case_study_system(), np.full(2, 2.9663))
         prior = np.array([0.7, -1.2])
-        np.testing.assert_allclose(update(sol, prior, sol.system.C @ prior), prior, atol=1e-14)
+        np.testing.assert_allclose(first_estimate(sol, prior, sol.system.C @ prior), prior, atol=1e-14)
 
     def test_vanishing_gain_limit(self):
         # needs strictly stable dynamics so the prediction covariance stays
@@ -53,12 +67,12 @@ class TestUpdate:
                              W=10.0 * np.eye(2), x0_hat=np.zeros(2))
         sol = solve_filter(system, np.full(2, 1e4))
         prior = np.array([0.7, -1.2])
-        out = update(sol, prior, np.array([5.0, 5.0]))
+        out = first_estimate(sol, prior, np.array([5.0, 5.0]))
         denom = np.linalg.norm(prior, ord=np.inf) + 1.0
         assert np.abs(out - prior).max() / denom < 1e-5
 
     def test_scalar_steady_state(self, scalar_solution):
-        out = update(scalar_solution, np.array([0.0]), np.array([1.0]))
+        out = first_estimate(scalar_solution, np.array([0.0]), np.array([1.0]))
         assert out[0] == pytest.approx(GOLDEN / (GOLDEN + 1.0), abs=1e-8)
 
     def test_matches_innovation_form_gain(self):
@@ -77,7 +91,7 @@ class TestUpdate:
         prior = np.array([0.3, -2.0])
         observed = np.array([1.0, 0.5])
         expected = prior + alt_gain @ (observed - system.C @ prior)
-        np.testing.assert_allclose(update(sol, prior, observed), expected, atol=1e-10)
+        np.testing.assert_allclose(first_estimate(sol, prior, observed), expected, atol=1e-10)
 
     def test_rectangular_output_map(self):
         # single measured channel: gain is a column, shapes must line up
@@ -85,10 +99,11 @@ class TestUpdate:
                              W=np.eye(2), x0_hat=np.zeros(2))
         sol = solve_filter(system, np.array([2.0]))
         assert sol.riccati.gain.shape == (2, 1)
-        out = update(sol, np.zeros(2), np.array([1.0]))
+        out = first_estimate(sol, np.zeros(2), np.array([1.0]))
         assert out.shape == (2,)
         states = run_filter(sol, np.ones((20, 1)), np.zeros(2))
         assert states[-1].x_hat.shape == (2,)
+        assert states[-1].x_hat_prior.shape == (2,)
 
 
 class TestRunFilter:

@@ -16,6 +16,7 @@ from dpkalman import (
     q_inverse,
     sensitivity_bound,
 )
+from dpkalman.privacy import noise_scales
 from helpers import case_study_system
 
 LN3 = math.log(3.0)
@@ -227,3 +228,18 @@ class TestPrivacyConfig:
         system = case_study_system()
         cfg = PrivacyConfig.for_system(system, epsilon=LN3, delta=0.001, adjacency_B=1.0, sigma=[5.0, 6.0])
         np.testing.assert_allclose(cfg.sigma, [5.0, 6.0])
+
+
+class TestNoiseScales:
+    def scales(self, sigma):
+        return noise_scales(case_study_system(), LN3, 0.001, 1.0, sigma)
+
+    def test_compliance_is_per_channel(self):
+        assert self.scales([2.96, 5.0])[1] is True
+        assert self.scales([5.0, 2.9])[1] is False
+
+    def test_zero_accepted_but_not_compliant(self):
+        # a zero scale reaches the Riccati solver, which reports V singular
+        vec, compliant = self.scales(0.0)
+        np.testing.assert_array_equal(vec, [0.0, 0.0])
+        assert compliant is False

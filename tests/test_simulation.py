@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,14 +7,15 @@ import pytest
 from dpkalman import (
     PrivacyConfig,
     SimulationConfig,
-    SimulationRecord,
     SystemModel,
     ValidationError,
     bound_violation_stats,
     compose,
+    run_filter,
     simulate,
     write_csv,
 )
+from dpkalman.rng import STREAM_PRIVACY, STREAM_PROCESS, gaussian_generator
 from dpkalman.simulation import CSV_HEADER
 from helpers import case_study_system, reference_paths
 from test_network import agent, scalar_agent
@@ -106,6 +108,28 @@ class TestStatistics:
         assert res.summary.mean_sq_err_post == pytest.approx(ref_post, rel=0.05)
 
 
+class TestFilterWiring:
+    def test_trial_zero_matches_run_filter(self):
+        # rebuild trial 0 from its own noise streams and filter it with
+        # run_filter: the engine must run exactly that recursion
+        seed, T = 13, 40
+        cfg = case_config(trials=3, horizon=T, seed=seed)
+        res = simulate(cfg)
+        system, sigma = cfg.system, cfg.privacy.sigma
+        w = gaussian_generator(seed, trial=0, stream=STREAM_PROCESS).standard_normal((T, 2))
+        w = w @ np.linalg.cholesky(system.W).T
+        v = gaussian_generator(seed, trial=0, stream=STREAM_PRIVACY).standard_normal((T, 2)) * sigma
+        x = np.empty((T, 2))
+        x[0] = system.x0_hat
+        for k in range(T - 1):
+            x[k + 1] = system.H @ x[k] + w[k]
+        states = run_filter(res.solution, x @ system.C.T + v, system.x0_hat)
+        prior = np.array([((x[k] - s.x_hat_prior) ** 2).sum() for k, s in enumerate(states)])
+        post = np.array([((x[k] - s.x_hat) ** 2).sum() for k, s in enumerate(states)])
+        np.testing.assert_allclose(res.sq_err_prior[0], prior, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(res.sq_err_post[0], post, rtol=1e-12, atol=1e-12)
+
+
 class TestGaussianInitialSpread:
     def test_spread_raises_early_error_only(self):
         tight = simulate(case_config(trials=400, horizon=40))
@@ -151,27 +175,22 @@ class TestEdges:
 
 
 class TestViolationStats:
+    # the case-study windows are [34.04, 46.40] (prediction) and [9.36, 17.60]
+    def with_errors(self, prior, post):
+        res = simulate(case_config(trials=2, horizon=4))
+        return dataclasses.replace(res, sq_err_prior=np.full((2, 4), prior),
+                                   sq_err_post=np.full((2, 4), post))
+
     def test_synthetic_inside(self):
-        records = [SimulationRecord(k, 5.0, 5.0, 0.0, 10.0, 0.0, 10.0) for k in range(4)]
-        stats = bound_violation_stats(records)
+        stats = bound_violation_stats(self.with_errors(40.0, 12.0))
         assert stats == {"frac_steps_prior_outside": 0.0, "frac_steps_post_outside": 0.0}
 
     def test_synthetic_outside(self):
-        records = [SimulationRecord(k, 50.0, -1.0, 0.0, 10.0, 0.0, 10.0) for k in range(4)]
-        stats = bound_violation_stats(records)
+        stats = bound_violation_stats(self.with_errors(50.0, -1.0))
         assert stats == {"frac_steps_prior_outside": 1.0, "frac_steps_post_outside": 1.0}
 
     def test_case_study_single_trial_is_mixed(self):
         res = simulate(case_config(trials=1, horizon=100))
-        stats = bound_violation_stats(res.trial_records(0))
+        stats = bound_violation_stats(res)
         assert 0.0 < stats["frac_steps_prior_outside"] < 1.0
         assert 0.0 < stats["frac_steps_post_outside"] < 1.0
-
-    def test_result_and_records_agree(self):
-        res = simulate(case_config(trials=4, horizon=30))
-        flat = [r for t in range(4) for r in res.trial_records(t)]
-        assert bound_violation_stats(res) == bound_violation_stats(flat)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            bound_violation_stats([])
