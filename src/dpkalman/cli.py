@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("simulate", "run the seeded Monte Carlo experiment", _cmd_simulate)
     p.add_argument("--out", help="write per-step CSV here")
     p.add_argument("--summary", help="write the summary JSON here")
-    p.add_argument("--threads", type=int, default=0, help="worker threads (default: all cores)")
+    p.add_argument("--threads", type=int, default=1, help="worker threads (default: 1)")
     p.add_argument("--seed", type=int, help="override the configured seed")
 
     add("dare", "solve the steady-state Riccati equation and summarize", _cmd_dare)
@@ -101,10 +101,19 @@ def _print_human(doc: dict, indent: int = 0) -> None:
 
 
 def _emit(doc: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(doc, indent=2))
-    else:
-        _print_human(doc)
+    try:
+        if as_json:
+            print(json.dumps(doc, indent=2))
+        else:
+            _print_human(doc)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (e.g. `| head`): that is not an error of
+        # the command. Point stdout at the null device so the interpreter's
+        # final flush does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _need(section, name: str):
@@ -196,8 +205,7 @@ def _cmd_simulate(args) -> int:
             horizon_T=sim.horizon_T, trials=sim.trials,
             seed=args.seed if args.seed is not None else sim.seed,
         )
-    threads = args.threads if args.threads > 0 else (os.cpu_count() or 1)
-    result = simulate(sim_config, threads=threads)
+    result = simulate(sim_config, threads=args.threads)
     if args.out:
         write_csv(result, args.out)
         print(f"wrote {result.trials * result.horizon_T} rows to {args.out}", file=sys.stderr)

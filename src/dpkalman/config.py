@@ -3,8 +3,7 @@
 A config carries up to four sections: ``system`` (or ``agents`` for a
 network), ``privacy``, ``simulation``, and ``calibration``. Matrices are
 objects with explicit ``rows``/``cols`` and row-major nested ``entries`` so
-shape errors surface at parse time. Unknown keys are rejected everywhere,
-and parse -> serialize -> parse is the identity.
+shape errors surface at parse time. Unknown keys are rejected everywhere.
 """
 
 from __future__ import annotations
@@ -224,57 +223,6 @@ def load_config(path) -> Config:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     return loads_config(text)
-
-
-def _matrix_to_dict(arr: np.ndarray) -> dict:
-    return {
-        "rows": int(arr.shape[0]),
-        "cols": int(arr.shape[1]),
-        "entries": [[float(v) for v in row] for row in arr],
-    }
-
-
-def _system_to_dict(system: SystemModel) -> dict:
-    return {
-        "H": _matrix_to_dict(system.H),
-        "C": _matrix_to_dict(system.C),
-        "W": _matrix_to_dict(system.W),
-        "x0_hat": [float(v) for v in system.x0_hat],
-    }
-
-
-def _privacy_to_dict(spec: PrivacySpec) -> dict:
-    out = {"epsilon": spec.epsilon, "delta": spec.delta, "adjacency_B": spec.adjacency_B}
-    if spec.sigma is not None:
-        out["sigma"] = list(spec.sigma) if isinstance(spec.sigma, tuple) else spec.sigma
-    return out
-
-
-def config_to_dict(config: Config) -> dict:
-    """Serialize back to the document shape accepted by :func:`loads_config`."""
-    out: dict = {}
-    if config.system is not None:
-        out["system"] = _system_to_dict(config.system)
-    if config.agents is not None:
-        out["agents"] = [
-            {"id": a.id, "system": _system_to_dict(a.system), "privacy": _privacy_to_dict(a.privacy)}
-            for a in config.agents
-        ]
-    if config.privacy is not None:
-        out["privacy"] = _privacy_to_dict(config.privacy)
-    if config.simulation is not None:
-        out["simulation"] = {
-            "horizon_T": config.simulation.horizon_T,
-            "trials": config.simulation.trials,
-            "seed": config.simulation.seed,
-        }
-    if config.calibration is not None:
-        out["calibration"] = {
-            "kind": config.calibration.kind,
-            "B_l": config.calibration.B_l,
-            "B_u": config.calibration.B_u,
-        }
-    return out
 
 
 def build_privacy(system: SystemModel, spec: PrivacySpec) -> PrivacyConfig:

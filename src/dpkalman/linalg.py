@@ -65,13 +65,6 @@ def require_symmetric(S: np.ndarray, name: str = "matrix", tol: float = SYMMETRY
     return symmetrize(S)
 
 
-def extreme_eigenvalues(S) -> tuple[float, float]:
-    """Smallest and largest eigenvalues of a symmetric matrix."""
-    sym = require_symmetric(as_matrix(S, "S"), "S")
-    w = np.linalg.eigvalsh(sym)
-    return float(w[0]), float(w[-1])
-
-
 def singular_values(A) -> np.ndarray:
     """Singular values of ``A`` in descending order."""
     return np.linalg.svd(as_matrix(A, "A"), compute_uv=False)
@@ -240,19 +233,13 @@ def dare_residual(sigma: np.ndarray, H: np.ndarray, W: np.ndarray, info: np.ndar
     return float(np.linalg.norm(sigma - image)) / denom
 
 
-def solve_dare(
-    system: SystemModel,
-    V,
-    *,
-    residual_tol: float = DARE_RESIDUAL_TOL,
-    change_tol: float = DARE_CHANGE_TOL,
-    max_iterations: int = DARE_MAX_ITERATIONS,
-) -> RiccatiSolution:
+def solve_dare(system: SystemModel, V) -> RiccatiSolution:
     """Solve the steady-state Riccati fixed point for noise covariance ``V``.
 
     Iterates sigma <- H (sigma^-1 + C^T V^-1 C)^-1 H^T + W from sigma = W,
     symmetrizing each iterate, until the relative change drops below
-    ``change_tol`` and the fixed-point residual below ``residual_tol``.
+    ``DARE_CHANGE_TOL`` and the fixed-point residual below
+    ``DARE_RESIDUAL_TOL``, within ``DARE_MAX_ITERATIONS`` iterations.
     The start at W is valid because the solution dominates W.
     """
     V = require_symmetric(as_matrix(V, "V"), "V")
@@ -264,33 +251,24 @@ def solve_dare(
         raise NotDetectableError(
             "the pair (H, D) with W = D D^T is not controllable; the solution may not be unique"
         )
-    vw = np.linalg.eigvalsh(V)
-    if vw[-1] <= 0.0 or vw[0] < SINGULARITY_RTOL * vw[-1]:
-        raise SingularMatrixError(
-            f"V is singular by condition estimate (eigenvalue range [{vw[0]:.3e}, {vw[-1]:.3e}])"
-        )
+    _require_invertible_spd(V, "V")
 
     H, W = system.H, system.W
     info = system.C.T @ np.linalg.solve(V, system.C)
     sigma = W.copy()
-    iterations = 0
-    residual = np.inf
-    converged = False
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, DARE_MAX_ITERATIONS + 1):
         nxt = _dare_map(sigma, H, W, info)
         denom = max(float(np.linalg.norm(nxt)), np.finfo(float).tiny)
         change = float(np.linalg.norm(nxt - sigma)) / denom
         sigma = nxt
-        if change < change_tol:
+        if change < DARE_CHANGE_TOL:
             residual = dare_residual(sigma, H, W, info)
-            if residual <= residual_tol:
-                converged = True
+            if residual <= DARE_RESIDUAL_TOL:
                 break
-    if not converged:
-        residual = dare_residual(sigma, H, W, info)
+    else:
         raise NoConvergenceError(
-            f"Riccati iteration did not converge within {max_iterations} iterations "
-            f"(residual {residual:.3e})"
+            f"Riccati iteration did not converge within {DARE_MAX_ITERATIONS} iterations "
+            f"(residual {dare_residual(sigma, H, W, info):.3e})"
         )
 
     sigma_bar = posterior_covariance(sigma, system.C, V)

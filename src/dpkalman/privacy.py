@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -21,8 +22,6 @@ from .linalg import as_matrix, as_vector, singular_values
 from .rng import STREAM_PRIVACY, gaussian_generator
 
 _SQRT_2 = math.sqrt(2.0)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-ROUND_TRIP_TOL = 1e-12
 
 # Relative undershoot tolerated when a caller supplies noise scales rounded
 # for publication (e.g. to three significant digits).
@@ -36,53 +35,11 @@ def q_function(y: float) -> float:
     return 0.5 * math.erfc(y / _SQRT_2)
 
 
-# Rational tail/central approximation of the normal quantile (Acklam),
-# accurate to ~1e-9; used only as the Newton starting point.
-_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-      1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-      6.680131188771972e+01, -1.328068155288572e+01)
-_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-      -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-      3.754408661907416e+00)
-_P_LOW = 0.02425
-
-
-def _normal_quantile_guess(p: float) -> float:
-    if p < _P_LOW:
-        t = math.sqrt(-2.0 * math.log(p))
-        return ((((( _C[0] * t + _C[1]) * t + _C[2]) * t + _C[3]) * t + _C[4]) * t + _C[5]) / \
-            (((( _D[0] * t + _D[1]) * t + _D[2]) * t + _D[3]) * t + 1.0)
-    if p > 1.0 - _P_LOW:
-        return -_normal_quantile_guess(1.0 - p)
-    s = p - 0.5
-    r = s * s
-    return ((((( _A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]) * s / \
-        ((((( _B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
-
-
 def q_inverse(delta: float) -> float:
-    """Inverse of :func:`q_function` on (0, 1).
-
-    A rational-approximation starting point is polished with Newton steps on
-    the tail probability until the round trip is exact to ``ROUND_TRIP_TOL``.
-    """
+    """Inverse of :func:`q_function` on (0, 1), the standard normal quantile of 1 - delta."""
     if not 0.0 < delta < 1.0:
         raise OutOfDomainError(f"q_inverse requires delta in (0, 1), got {delta}")
-    x = -_normal_quantile_guess(delta)
-    for _ in range(100):
-        err = q_function(x) - delta
-        if abs(err) <= ROUND_TRIP_TOL * 0.1:
-            break
-        pdf = math.exp(-0.5 * x * x) / _SQRT_2PI
-        if pdf == 0.0:
-            break
-        step = err / pdf
-        x += step
-        if abs(step) <= 1e-16 * (1.0 + abs(x)):
-            break
-    return x
+    return -NormalDist().inv_cdf(delta)
 
 
 def sensitivity_bound(C, adjacency_B: float) -> float:
@@ -167,26 +124,15 @@ class PrivacyConfig:
     delta: float
     adjacency_B: float
     sensitivity: float
-    k_delta: float
     sigma: np.ndarray
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise OutOfDomainError(f"epsilon must be positive, got {self.epsilon}")
-        if not 0.0 < self.delta < 0.5:
-            raise OutOfDomainError(f"delta must lie in (0, 0.5), got {self.delta}")
+        floor = gaussian_sigma(self.epsilon, self.delta, self.sensitivity)
         if self.adjacency_B <= 0.0:
             raise OutOfDomainError(f"adjacency_B must be positive, got {self.adjacency_B}")
-        if self.sensitivity < 0.0:
-            raise OutOfDomainError(f"sensitivity must be nonnegative, got {self.sensitivity}")
-        if abs(self.k_delta - q_inverse(self.delta)) > 1e-9:
-            raise ValidationError(
-                f"k_delta = {self.k_delta} does not match the tail quantile of delta = {self.delta}"
-            )
         vec = as_vector(self.sigma, "sigma")
         if np.any(vec < 0.0):
             raise NonPositiveSigmaError("noise scales must be nonnegative")
-        floor = gaussian_sigma(self.epsilon, self.delta, self.sensitivity)
         if not meets_minimum(vec, floor):
             raise ValidationError(
                 f"noise scale below the ({self.epsilon}, {self.delta}) minimum {floor:.6g}: "
@@ -201,5 +147,4 @@ class PrivacyConfig:
         """Build a config for ``system`` with the scales of :func:`noise_scales`."""
         vec, _ = noise_scales(system, epsilon, delta, adjacency_B, sigma)
         return cls(epsilon=epsilon, delta=delta, adjacency_B=adjacency_B,
-                   sensitivity=sensitivity_bound(system.C, adjacency_B),
-                   k_delta=q_inverse(delta), sigma=vec)
+                   sensitivity=sensitivity_bound(system.C, adjacency_B), sigma=vec)

@@ -204,22 +204,6 @@ def simulate(config: SimulationConfig, *, threads: int = 1) -> SimulationResult:
     )
 
 
-def bound_violation_stats(result: SimulationResult) -> dict[str, float]:
-    """Fraction of steps whose instantaneous squared error leaves the MSE bounds.
-
-    The bounds govern averages, not samples, so these fractions are
-    descriptive rather than asserted.
-    """
-    p_lo, p_hi = result.bound_prior
-    e_lo, e_hi = result.bound_post
-    prior_out = (result.sq_err_prior < p_lo) | (result.sq_err_prior > p_hi)
-    post_out = (result.sq_err_post < e_lo) | (result.sq_err_post > e_hi)
-    return {
-        "frac_steps_prior_outside": float(prior_out.mean()),
-        "frac_steps_post_outside": float(post_out.mean()),
-    }
-
-
 def write_csv(result: SimulationResult, path) -> None:
     """Write one row per (trial, k): LF line endings, full-precision floats."""
     b = [repr(float(v)) for v in (*result.bound_prior, *result.bound_post)]

@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dpkalman import config_to_dict, loads_config
+import dpkalman
+from dpkalman import loads_config
 from dpkalman.cli import main
+from dpkalman.config import CalibrationSpec, PrivacySpec, SimulationSpec
 
 LN3 = math.log(3.0)
 
@@ -445,18 +451,52 @@ class TestJsonPurity:
         strict_json(out)  # raises if stdout holds anything but one strict document
 
 
+class TestClosedStdout:
+    # A reader that stops early (`dpkalman bounds --json | head -1`) is not a
+    # failure of the command: it keeps its exit status and writes no error.
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "command,calibration,expected_code,expected_err",
+        [
+            ("bounds", None, 0, ""),
+            ("calibrate", {"kind": "aposteriori", "B_l": 1.8, "B_u": 50.0}, 2,
+             "calibration target is infeasible under the sufficient conditions\n"),
+        ],
+        ids=["bounds", "calibrate-infeasible"],
+    )
+    def test_exit_status_kept(self, unbuffered, command, calibration, expected_code,
+                              expected_err, write_config):
+        doc = case_study_doc(calibration=calibration) if calibration else case_study_doc()
+        path = write_config(doc)
+        src = str(Path(dpkalman.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # every write to the pipe now fails with EPIPE
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "dpkalman.cli", command, "--config", path, "--json"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr.decode() == expected_err
+        assert proc.returncode == expected_code
+
+
 class TestConfigRoundTrip:
     def test_parse_serialize_parse_is_identity(self):
-        text = json.dumps(case_study_doc())
-        first = loads_config(text)
-        doc1 = config_to_dict(first)
-        second = loads_config(json.dumps(doc1))
-        doc2 = config_to_dict(second)
-        assert doc1 == doc2
-        np.testing.assert_array_equal(first.system.H, second.system.H)
-        assert first.privacy == second.privacy
-        assert first.simulation == second.simulation
-        assert first.calibration == second.calibration
+        parsed = loads_config(json.dumps(case_study_doc()))
+        np.testing.assert_array_equal(parsed.system.H, [[1.0, 1.0], [0.0, 1.0]])
+        np.testing.assert_array_equal(parsed.system.C, np.eye(2))
+        np.testing.assert_array_equal(parsed.system.W, 10.0 * np.eye(2))
+        np.testing.assert_array_equal(parsed.system.x0_hat, [0.0, 0.0])
+        assert parsed.privacy == PrivacySpec(epsilon=LN3, delta=0.001, adjacency_B=1.0)
+        assert parsed.simulation == SimulationSpec(horizon_T=100, trials=200, seed=42)
+        assert parsed.calibration == CalibrationSpec(kind="apriori", B_l=21.0, B_u=2000.0)
+        assert parsed.agents is None
 
     def test_agents_round_trip(self):
         doc = {
@@ -474,13 +514,21 @@ class TestConfigRoundTrip:
             ]
         }
         parsed = loads_config(json.dumps(doc))
-        assert config_to_dict(parsed) == doc
+        (agent,) = parsed.agents
+        assert agent.id == "a"
+        np.testing.assert_array_equal(agent.system.H, [[0.5]])
+        np.testing.assert_array_equal(agent.system.C, [[1.0]])
+        np.testing.assert_array_equal(agent.system.W, [[1.0]])
+        np.testing.assert_array_equal(agent.system.x0_hat, [0.25])
+        assert agent.privacy == PrivacySpec(epsilon=1.0, delta=0.01, adjacency_B=1.0, sigma=(4.0,))
+        assert isinstance(agent.privacy.sigma, tuple)
+        assert parsed.system is None and parsed.privacy is None
 
     def test_sigma_scalar_survives(self):
         doc = case_study_doc()
         doc["privacy"]["sigma"] = 2.96
-        parsed = loads_config(json.dumps(doc))
-        assert config_to_dict(parsed)["privacy"]["sigma"] == 2.96
+        sigma = loads_config(json.dumps(doc)).privacy.sigma
+        assert isinstance(sigma, float) and sigma == 2.96
 
     def test_mutually_exclusive_sections(self):
         doc = case_study_doc()

@@ -16,7 +16,6 @@ from dpkalman import (
     ValidationError,
     block_diag,
     controllability_check,
-    extreme_eigenvalues,
     observability_check,
     posterior_covariance,
     singular_values,
@@ -36,32 +35,6 @@ def finite_square(n_max=4, scale=5.0):
             elements=st.floats(-scale, scale, allow_nan=False, allow_infinity=False),
         )
     )
-
-
-class TestExtremeEigenvalues:
-    def test_diagonal(self):
-        assert extreme_eigenvalues(np.diag([2.0, 5.0])) == (2.0, 5.0)
-
-    def test_identity(self):
-        lo, hi = extreme_eigenvalues(np.eye(3))
-        assert lo == pytest.approx(1.0) and hi == pytest.approx(1.0)
-
-    def test_gram_matrix_roots_of_characteristic_polynomial(self):
-        # H^T H for the case-study H is [[1,1],[1,2]] with eigenvalues (3 +- sqrt 5)/2.
-        lo, hi = extreme_eigenvalues(CASE_H.T @ CASE_H)
-        assert lo == pytest.approx((3.0 - math.sqrt(5.0)) / 2.0, abs=1e-12)
-        assert hi == pytest.approx((3.0 + math.sqrt(5.0)) / 2.0, abs=1e-12)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(NonSymmetricError):
-            extreme_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    @given(finite_square())
-    def test_bounds_hold_for_symmetrized_input(self, A):
-        S = A + A.T
-        lo, hi = extreme_eigenvalues(S)
-        assert lo <= hi
-        assert lo <= np.trace(S) / S.shape[0] <= hi + 1e-9
 
 
 class TestSingularValues:
@@ -231,7 +204,8 @@ class TestMatrixInequalities:
     def test_trace_of_product_bracketed_by_extreme_eigenvalues(self, A):
         S = A + A.T
         K = A @ A.T  # PSD
-        lo, hi = extreme_eigenvalues(S)
+        w = np.linalg.eigvalsh(S)
+        lo, hi = w[0], w[-1]
         tr_k = float(np.trace(K))
         tr_ks = float(np.trace(K @ S))
         slack = 1e-8 * max(1.0, abs(tr_k) * max(abs(lo), abs(hi)))

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ from dpkalman import (
     SimulationConfig,
     SystemModel,
     ValidationError,
-    bound_violation_stats,
     compose,
     run_filter,
     simulate,
@@ -172,25 +170,3 @@ class TestEdges:
             case_config(trials=0)
         with pytest.raises(ValidationError):
             case_config(horizon=0)
-
-
-class TestViolationStats:
-    # the case-study windows are [34.04, 46.40] (prediction) and [9.36, 17.60]
-    def with_errors(self, prior, post):
-        res = simulate(case_config(trials=2, horizon=4))
-        return dataclasses.replace(res, sq_err_prior=np.full((2, 4), prior),
-                                   sq_err_post=np.full((2, 4), post))
-
-    def test_synthetic_inside(self):
-        stats = bound_violation_stats(self.with_errors(40.0, 12.0))
-        assert stats == {"frac_steps_prior_outside": 0.0, "frac_steps_post_outside": 0.0}
-
-    def test_synthetic_outside(self):
-        stats = bound_violation_stats(self.with_errors(50.0, -1.0))
-        assert stats == {"frac_steps_prior_outside": 1.0, "frac_steps_post_outside": 1.0}
-
-    def test_case_study_single_trial_is_mixed(self):
-        res = simulate(case_config(trials=1, horizon=100))
-        stats = bound_violation_stats(res)
-        assert 0.0 < stats["frac_steps_prior_outside"] < 1.0
-        assert 0.0 < stats["frac_steps_post_outside"] < 1.0
