@@ -12,6 +12,7 @@ document; diagnostics go to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -100,12 +101,10 @@ def _print_human(doc: dict, indent: int = 0) -> None:
             print(f"{pad}{key}: {_fmt(value)}")
 
 
-def _emit(doc: dict, as_json: bool) -> None:
+@contextlib.contextmanager
+def _stdout_reader_may_close():
     try:
-        if as_json:
-            print(json.dumps(doc, indent=2))
-        else:
-            _print_human(doc)
+        yield
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed stdout (e.g. `| head`): that is not an error of
@@ -114,6 +113,14 @@ def _emit(doc: dict, as_json: bool) -> None:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+
+
+def _emit(doc: dict, as_json: bool) -> None:
+    with _stdout_reader_may_close():
+        if as_json:
+            print(json.dumps(doc, indent=2))
+        else:
+            _print_human(doc)
 
 
 def _need(section, name: str):
@@ -256,10 +263,11 @@ def _cmd_compose(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    with _stdout_reader_may_close():  # argparse prints --help itself
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except DPKalmanError as exc:

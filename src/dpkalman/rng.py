@@ -1,8 +1,10 @@
 """Deterministic, splittable Gaussian noise streams.
 
-Streams are keyed by (seed, trial, stream tag) through ``SeedSequence`` spawn
+Streams are keyed by (seed, index, stream tag) through ``SeedSequence`` spawn
 keys on top of the counter-based Philox generator, so parallel workers can
 draw independent noise without coordination and every draw is reproducible.
+The index is a block of trials in ``simulate`` and the caller's
+``stream_index`` in ``privatize``.
 """
 
 from __future__ import annotations

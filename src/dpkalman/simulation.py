@@ -3,9 +3,11 @@
 Each trial draws a true state path x(k+1) = H x(k) + w(k), privatizes the
 outputs pointwise in time, runs the steady-state filter on the privatized
 stream, and records squared prediction/estimation errors per step next to the
-constant trace bounds. Process noise, privacy noise, and the optional initial
-spread use independent substreams keyed by (seed, trial, stream tag), so
-results are bit-identical no matter how trials are scheduled across threads.
+constant trace bounds. Trials are drawn in blocks of ``NOISE_BLOCK``: process
+noise, privacy noise, and the optional initial spread of block b come from
+independent substreams keyed by (seed, b, stream tag), drawn trial-major, so
+trial i uses row i % NOISE_BLOCK of block i // NOISE_BLOCK. Its values depend
+neither on the trial count nor on how blocks are scheduled across threads.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ CSV_HEADER = (
 )
 
 DEFAULT_BURN_IN = 10
+
+# Trials per noise block: block b holds trials [b * NOISE_BLOCK, (b + 1) *
+# NOISE_BLOCK) and draws from the (seed, b, stream) substreams.
+NOISE_BLOCK = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,28 +130,29 @@ class SimulationResult:
 def _run_trials(lo: int, hi: int, sol: FilterSolution, sigma: np.ndarray, seed: int,
                 T: int, x0_factor: np.ndarray | None,
                 out_prior: np.ndarray, out_post: np.ndarray) -> None:
-    # Fills rows [lo, hi) of the output arrays; noise is keyed per trial so the
-    # result is independent of how trials are chunked.
+    # Fills rows [lo, hi) of the output arrays one noise block at a time. lo
+    # is a multiple of NOISE_BLOCK and so is hi unless it is the trial count,
+    # so no block is split between calls.
     system = sol.system
-    H, C, x0 = system.H, system.C, system.x0_hat
+    x0, H_t, C_t = system.x0_hat, system.H.T, system.C.T
     n, q = system.n, system.q
-    m = hi - lo
-    chol_w = np.linalg.cholesky(system.W)
-    w_noise = np.empty((m, T, n))
-    v_noise = np.empty((m, T, q))
-    x = np.tile(x0, (m, 1))
-    for i, trial in enumerate(range(lo, hi)):
-        w_noise[i] = gaussian_generator(seed, trial=trial, stream=STREAM_PROCESS).standard_normal((T, n)) @ chol_w.T
-        v_noise[i] = gaussian_generator(seed, trial=trial, stream=STREAM_PRIVACY).standard_normal((T, q)) * sigma
+    chol_w_t = np.linalg.cholesky(system.W).T
+    for start in range(lo, hi, NOISE_BLOCK):
+        stop = min(start + NOISE_BLOCK, hi)
+        m, block = stop - start, start // NOISE_BLOCK
+        w = gaussian_generator(seed, trial=block, stream=STREAM_PROCESS).standard_normal((m, T, n))
+        v = gaussian_generator(seed, trial=block, stream=STREAM_PRIVACY).standard_normal((m, T, q))
+        v *= sigma
+        x = np.tile(x0, (m, 1))
         if x0_factor is not None:
-            x[i] += x0_factor @ gaussian_generator(seed, trial=trial, stream=STREAM_INIT).standard_normal(n)
-    x_prior = np.tile(x0, (m, 1))
-    for k in range(T):
-        x_hat, next_prior = filter_step(sol, x_prior, x @ C.T + v_noise[:, k, :])
-        out_prior[lo:hi, k] = ((x - x_prior) ** 2).sum(axis=1)
-        out_post[lo:hi, k] = ((x - x_hat) ** 2).sum(axis=1)
-        x = x @ H.T + w_noise[:, k, :]
-        x_prior = next_prior
+            x += gaussian_generator(seed, trial=block, stream=STREAM_INIT).standard_normal((m, n)) @ x0_factor.T
+        x_prior = np.tile(x0, (m, 1))
+        for k in range(T):
+            x_hat, next_prior = filter_step(sol, x_prior, x @ C_t + v[:, k])
+            out_prior[start:stop, k] = ((x - x_prior) ** 2).sum(axis=1)
+            out_post[start:stop, k] = ((x - x_hat) ** 2).sum(axis=1)
+            x = x @ H_t + w[:, k] @ chol_w_t
+            x_prior = next_prior
 
 
 def simulate(config: SimulationConfig, *, threads: int = 1) -> SimulationResult:
@@ -164,14 +171,14 @@ def simulate(config: SimulationConfig, *, threads: int = 1) -> SimulationResult:
     out_post = np.empty((trials, T))
     x0_factor = symmetric_factor(config.x0_cov) if config.x0_cov is not None else None
 
-    threads = max(1, int(threads))
+    # spans start at block boundaries, so threads never split a noise block
+    chunk = NOISE_BLOCK * math.ceil(trials / (NOISE_BLOCK * max(1, int(threads))))
+    spans = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
     args = (sol, sigma, config.seed, T, x0_factor, out_prior, out_post)
-    if threads == 1 or trials == 1:
+    if len(spans) == 1:
         _run_trials(0, trials, *args)
     else:
-        chunk = math.ceil(trials / threads)
-        spans = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
             futures = [pool.submit(_run_trials, lo, hi, *args) for lo, hi in spans]
             for f in futures:
                 f.result()

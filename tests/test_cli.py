@@ -454,20 +454,24 @@ class TestJsonPurity:
 class TestClosedStdout:
     # A reader that stops early (`dpkalman bounds --json | head -1`) is not a
     # failure of the command: it keeps its exit status and writes no error.
+    # That holds for --help too, which argparse prints itself.
     @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize(
-        "command,calibration,expected_code,expected_err",
+        "args,calibration,expected_code,expected_err",
         [
-            ("bounds", None, 0, ""),
-            ("calibrate", {"kind": "aposteriori", "B_l": 1.8, "B_u": 50.0}, 2,
+            (["bounds", "--config", "CONFIG", "--json"], None, 0, ""),
+            (["calibrate", "--config", "CONFIG", "--json"], {"kind": "aposteriori", "B_l": 1.8, "B_u": 50.0}, 2,
              "calibration target is infeasible under the sufficient conditions\n"),
+            (["--help"], None, 0, ""),
+            (["simulate", "--help"], None, 0, ""),
         ],
-        ids=["bounds", "calibrate-infeasible"],
+        ids=["bounds", "calibrate-infeasible", "help", "simulate-help"],
     )
-    def test_exit_status_kept(self, unbuffered, command, calibration, expected_code,
+    def test_exit_status_kept(self, unbuffered, args, calibration, expected_code,
                               expected_err, write_config):
         doc = case_study_doc(calibration=calibration) if calibration else case_study_doc()
         path = write_config(doc)
+        args = [path if arg == "CONFIG" else arg for arg in args]
         src = str(Path(dpkalman.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         env.pop("PYTHONUNBUFFERED", None)
@@ -477,7 +481,7 @@ class TestClosedStdout:
         os.close(read_end)  # every write to the pipe now fails with EPIPE
         try:
             proc = subprocess.run(
-                [sys.executable, "-m", "dpkalman.cli", command, "--config", path, "--json"],
+                [sys.executable, "-m", "dpkalman.cli", *args],
                 stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
             )
         finally:

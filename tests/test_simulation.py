@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from dpkalman import (
     write_csv,
 )
 from dpkalman.rng import STREAM_PRIVACY, STREAM_PROCESS, gaussian_generator
-from dpkalman.simulation import CSV_HEADER
+from dpkalman.simulation import CSV_HEADER, NOISE_BLOCK
 from helpers import case_study_system, reference_paths
 from test_network import agent, scalar_agent
 
@@ -39,6 +40,16 @@ class TestDeterminism:
         base = simulate(case_config(trials=101), threads=1)
         for threads in (2, 4, 7):
             other = simulate(case_config(trials=101), threads=threads)
+            np.testing.assert_array_equal(base.sq_err_prior, other.sq_err_prior)
+            np.testing.assert_array_equal(base.sq_err_post, other.sq_err_post)
+
+    @pytest.mark.parametrize("x0_cov", [None, 25.0 * np.eye(2)], ids=["mean-start", "spread-start"])
+    def test_thread_count_irrelevant_across_blocks(self, x0_cov):
+        # three noise blocks, the last one partial, so the threads split them
+        trials = 2 * NOISE_BLOCK + 37
+        base = simulate(case_config(trials=trials, horizon=8, x0_cov=x0_cov), threads=1)
+        for threads in (2, 3, 7):
+            other = simulate(case_config(trials=trials, horizon=8, x0_cov=x0_cov), threads=threads)
             np.testing.assert_array_equal(base.sq_err_prior, other.sq_err_prior)
             np.testing.assert_array_equal(base.sq_err_post, other.sq_err_post)
 
@@ -126,6 +137,53 @@ class TestFilterWiring:
         post = np.array([((x[k] - s.x_hat) ** 2).sum() for k, s in enumerate(states)])
         np.testing.assert_allclose(res.sq_err_prior[0], prior, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(res.sq_err_post[0], post, rtol=1e-12, atol=1e-12)
+
+
+    @pytest.mark.parametrize("trial", [5, NOISE_BLOCK], ids=["row-5-of-block-0", "row-0-of-block-1"])
+    def test_trial_is_its_row_of_the_block_stream(self, trial):
+        # trial i draws row i % NOISE_BLOCK of block i // NOISE_BLOCK's
+        # trial-major (trials, T, n) streams
+        seed, T = 13, 40
+        cfg = case_config(trials=trial + 1, horizon=T, seed=seed)
+        res = simulate(cfg)
+        system, sigma = cfg.system, cfg.privacy.sigma
+        block, row = divmod(trial, NOISE_BLOCK)
+
+        def draw(stream):
+            gen = gaussian_generator(seed, trial=block, stream=stream)
+            return gen.standard_normal((row + 1, T, 2))[row]
+
+        w = draw(STREAM_PROCESS) @ np.linalg.cholesky(system.W).T
+        v = draw(STREAM_PRIVACY) * sigma
+        x = np.empty((T, 2))
+        x[0] = system.x0_hat
+        for k in range(T - 1):
+            x[k + 1] = system.H @ x[k] + w[k]
+        states = run_filter(res.solution, x @ system.C.T + v, system.x0_hat)
+        prior = np.array([((x[k] - s.x_hat_prior) ** 2).sum() for k, s in enumerate(states)])
+        post = np.array([((x[k] - s.x_hat) ** 2).sum() for k, s in enumerate(states)])
+        np.testing.assert_allclose(res.sq_err_prior[trial], prior, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(res.sq_err_post[trial], post, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [3, NOISE_BLOCK + 2])
+    def test_trial_count_keeps_earlier_trials(self, n):
+        longer = simulate(case_config(trials=NOISE_BLOCK + 5, horizon=8))
+        shorter = simulate(case_config(trials=n, horizon=8))
+        np.testing.assert_array_equal(longer.sq_err_prior[:n], shorter.sq_err_prior)
+        np.testing.assert_array_equal(longer.sq_err_post[:n], shorter.sq_err_post)
+
+
+class TestMemory:
+    def test_noise_is_not_held_for_every_trial(self):
+        # one block of noise at a time: a (trials, T, n) noise array would
+        # alone be as large as both outputs together
+        tracemalloc.start()
+        try:
+            res = simulate(case_config(trials=5000, horizon=200))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (res.sq_err_prior.nbytes + res.sq_err_post.nbytes)
 
 
 class TestGaussianInitialSpread:
