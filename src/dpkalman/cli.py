@@ -198,20 +198,15 @@ def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     sim = _need(config.simulation, "simulation")
     if config.agents is not None:
-        network = compose(build_agents(config.agents))
-        sim_config = SimulationConfig(
-            system=network, privacy=None,
-            horizon_T=sim.horizon_T, trials=sim.trials,
-            seed=args.seed if args.seed is not None else sim.seed,
-        )
+        system, privacy = compose(build_agents(config.agents)), None
     else:
         system = _system_of(config)
         privacy = build_privacy(system, _need(config.privacy, "privacy"))
-        sim_config = SimulationConfig(
-            system=system, privacy=privacy,
-            horizon_T=sim.horizon_T, trials=sim.trials,
-            seed=args.seed if args.seed is not None else sim.seed,
-        )
+    sim_config = SimulationConfig(
+        system=system, privacy=privacy,
+        horizon_T=sim.horizon_T, trials=sim.trials,
+        seed=args.seed if args.seed is not None else sim.seed,
+    )
     result = simulate(sim_config, threads=args.threads)
     if args.out:
         write_csv(result, args.out)

@@ -9,6 +9,7 @@ shape errors surface at parse time. Unknown keys are rejected everywhere.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,8 @@ def _check_keys(mapping: dict, required: set[str], optional: set[str], context: 
 def _number(value, context: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{context} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, +-Infinity, or an int too large for a float
+        raise ConfigError(f"{context} must be finite, got {value!r}")
     return float(value)
 
 

@@ -25,10 +25,9 @@ class FilterState:
 
 @dataclass(frozen=True, eq=False)
 class FilterSolution:
-    """A system together with its noise covariance and Riccati solution."""
+    """A system together with the Riccati solution for its noise scales."""
 
     system: SystemModel
-    V: np.ndarray
     riccati: RiccatiSolution
 
 
@@ -39,8 +38,7 @@ def solve_filter(system: SystemModel, sigma) -> FilterSolution:
     the Riccati solver.
     """
     sigma = as_vector(sigma, "sigma", length=system.q)
-    V = np.diag(sigma**2)
-    return FilterSolution(system=system, V=V, riccati=solve_dare(system, V))
+    return FilterSolution(system=system, riccati=solve_dare(system, np.diag(sigma**2)))
 
 
 def filter_step(sol: FilterSolution, x_hat_prior, y_tilde) -> tuple[np.ndarray, np.ndarray]:

@@ -55,13 +55,13 @@ def symmetrize(S: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.T)
 
 
-def require_symmetric(S: np.ndarray, name: str = "matrix", tol: float = SYMMETRY_TOL) -> np.ndarray:
-    """Check max |S_ij - S_ji| <= tol and return the symmetrized matrix."""
+def require_symmetric(S: np.ndarray, name: str = "matrix") -> np.ndarray:
+    """Check max |S_ij - S_ji| <= ``SYMMETRY_TOL`` and return the symmetrized matrix."""
     if S.shape[0] != S.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {S.shape}")
     skew = float(np.max(np.abs(S - S.T)))
-    if skew > tol:
-        raise NonSymmetricError(f"{name} is not symmetric: max |S_ij - S_ji| = {skew:.3e} > {tol:.1e}")
+    if skew > SYMMETRY_TOL:
+        raise NonSymmetricError(f"{name} is not symmetric: max |S_ij - S_ji| = {skew:.3e} > {SYMMETRY_TOL:.1e}")
     return symmetrize(S)
 
 
@@ -70,24 +70,24 @@ def singular_values(A) -> np.ndarray:
     return np.linalg.svd(as_matrix(A, "A"), compute_uv=False)
 
 
-def _numerical_rank(A: np.ndarray, rank_tol: float) -> int:
-    s = np.linalg.svd(A, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rank_tol * s[0]))
+def _full_krylov_rank(A: np.ndarray, B: np.ndarray) -> bool:
+    # True iff [B, AB, ..., A^(n-1)B] has numerical rank n = A.shape[0].
+    n = A.shape[0]
+    blocks = [B]
+    for _ in range(n - 1):
+        blocks.append(A @ blocks[-1])
+    s = np.linalg.svd(np.hstack(blocks), compute_uv=False)
+    return int(np.count_nonzero(s > RANK_TOL * s[0])) == n
 
 
-def observability_check(H, C, rank_tol: float = RANK_TOL) -> bool:
+def observability_check(H, C) -> bool:
     """True iff the stacked map [C; CH; ...; CH^(n-1)] has numerical rank n."""
     H = as_matrix(H, "H")
     C = as_matrix(C, "C")
     n = H.shape[0]
     if H.shape != (n, n) or C.shape[1] != n:
         raise DimensionMismatchError(f"inconsistent shapes H {H.shape}, C {C.shape}")
-    blocks = [C]
-    for _ in range(n - 1):
-        blocks.append(blocks[-1] @ H)
-    return _numerical_rank(np.vstack(blocks), rank_tol) == n
+    return _full_krylov_rank(H.T, C.T)
 
 
 def symmetric_factor(W) -> np.ndarray:
@@ -99,17 +99,14 @@ def symmetric_factor(W) -> np.ndarray:
     return U * np.sqrt(np.clip(w, 0.0, None))
 
 
-def controllability_check(H, W, rank_tol: float = RANK_TOL) -> bool:
+def controllability_check(H, W) -> bool:
     """True iff [D, HD, ..., H^(n-1)D] has numerical rank n, where W = D D^T."""
     H = as_matrix(H, "H")
     D = symmetric_factor(W)
     n = H.shape[0]
     if H.shape != (n, n) or D.shape[0] != n:
         raise DimensionMismatchError(f"inconsistent shapes H {H.shape}, W {D.shape}")
-    blocks = [D]
-    for _ in range(n - 1):
-        blocks.append(H @ blocks[-1])
-    return _numerical_rank(np.hstack(blocks), rank_tol) == n
+    return _full_krylov_rank(H, D)
 
 
 def block_diag(blocks: list[np.ndarray]) -> np.ndarray:
@@ -198,6 +195,12 @@ def _require_invertible_spd(M: np.ndarray, name: str) -> None:
         )
 
 
+def _posterior(sigma: np.ndarray, info: np.ndarray) -> np.ndarray:
+    # (sigma^-1 + info)^-1 with info = C^T V^-1 C, not symmetrized.
+    eye = np.eye(sigma.shape[0])
+    return np.linalg.solve(np.linalg.solve(sigma, eye) + info, eye)
+
+
 def posterior_covariance(sigma, C, V) -> np.ndarray:
     """Estimation error covariance (C^T V^-1 C + sigma^-1)^-1.
 
@@ -214,33 +217,19 @@ def posterior_covariance(sigma, C, V) -> np.ndarray:
         )
     _require_invertible_spd(sigma, "sigma")
     _require_invertible_spd(V, "V")
-    eye = np.eye(n)
-    m = C.T @ np.linalg.solve(V, C) + np.linalg.solve(sigma, eye)
-    return symmetrize(np.linalg.solve(m, eye))
-
-
-def _dare_map(sigma: np.ndarray, H: np.ndarray, W: np.ndarray, info: np.ndarray) -> np.ndarray:
-    # One application of sigma -> H (sigma^-1 + C^T V^-1 C)^-1 H^T + W.
-    eye = np.eye(sigma.shape[0])
-    inner = np.linalg.solve(np.linalg.solve(sigma, eye) + info, eye)
-    return symmetrize(H @ inner @ H.T + W)
-
-
-def dare_residual(sigma: np.ndarray, H: np.ndarray, W: np.ndarray, info: np.ndarray) -> float:
-    """Relative Frobenius fixed-point defect of a candidate solution."""
-    image = _dare_map(sigma, H, W, info)
-    denom = max(float(np.linalg.norm(sigma)), np.finfo(float).tiny)
-    return float(np.linalg.norm(sigma - image)) / denom
+    return symmetrize(_posterior(sigma, C.T @ np.linalg.solve(V, C)))
 
 
 def solve_dare(system: SystemModel, V) -> RiccatiSolution:
     """Solve the steady-state Riccati fixed point for noise covariance ``V``.
 
     Iterates sigma <- H (sigma^-1 + C^T V^-1 C)^-1 H^T + W from sigma = W,
-    symmetrizing each iterate, until the relative change drops below
-    ``DARE_CHANGE_TOL`` and the fixed-point residual below
-    ``DARE_RESIDUAL_TOL``, within ``DARE_MAX_ITERATIONS`` iterations.
-    The start at W is valid because the solution dominates W.
+    symmetrizing each iterate, and returns the first iterate whose relative
+    change is below ``DARE_CHANGE_TOL`` and whose fixed-point residual
+    |map(sigma) - sigma|_F / |sigma|_F is at most ``DARE_RESIDUAL_TOL``, with
+    ``sigma_bar`` the posterior inside that same map; ``NoConvergenceError``
+    after ``DARE_MAX_ITERATIONS``. The start at W is valid because the
+    solution dominates W.
     """
     V = require_symmetric(as_matrix(V, "V"), "V")
     if V.shape != (system.q, system.q):
@@ -255,23 +244,29 @@ def solve_dare(system: SystemModel, V) -> RiccatiSolution:
 
     H, W = system.H, system.W
     info = system.C.T @ np.linalg.solve(V, system.C)
-    sigma = W.copy()
-    for iterations in range(1, DARE_MAX_ITERATIONS + 1):
-        nxt = _dare_map(sigma, H, W, info)
-        denom = max(float(np.linalg.norm(nxt)), np.finfo(float).tiny)
-        change = float(np.linalg.norm(nxt - sigma)) / denom
+    tiny = np.finfo(float).tiny
+    sigma = W
+    sigma_norm = max(float(np.linalg.norm(sigma)), tiny)
+    change = np.inf  # the start has no predecessor
+    # pass k maps sigma_k once: |nxt - sigma_k| over |sigma_k| is sigma_k's
+    # residual, and over |nxt| it is the change of sigma_(k+1)
+    for iterations in range(DARE_MAX_ITERATIONS + 1):
+        inner = _posterior(sigma, info)
+        nxt = symmetrize(H @ inner @ H.T + W)
+        step = float(np.linalg.norm(nxt - sigma))
+        residual = step / sigma_norm
+        if change < DARE_CHANGE_TOL and residual <= DARE_RESIDUAL_TOL:
+            break
+        sigma_norm = max(float(np.linalg.norm(nxt)), tiny)
+        change = step / sigma_norm
         sigma = nxt
-        if change < DARE_CHANGE_TOL:
-            residual = dare_residual(sigma, H, W, info)
-            if residual <= DARE_RESIDUAL_TOL:
-                break
     else:
         raise NoConvergenceError(
             f"Riccati iteration did not converge within {DARE_MAX_ITERATIONS} iterations "
-            f"(residual {dare_residual(sigma, H, W, info):.3e})"
+            f"(residual {residual:.3e})"
         )
 
-    sigma_bar = posterior_covariance(sigma, system.C, V)
+    sigma_bar = symmetrize(inner)
     gain = np.linalg.solve(V, system.C @ sigma_bar).T
     return RiccatiSolution(
         sigma=sigma, sigma_bar=sigma_bar, gain=gain, residual=residual, iterations=iterations

@@ -52,11 +52,11 @@ def sensitivity_bound(C, adjacency_B: float) -> float:
 
 def gaussian_sigma(epsilon: float, delta: float, sensitivity: float) -> float:
     """Minimal compliant Gaussian noise scale for (epsilon, delta)-privacy."""
-    if epsilon <= 0.0:
+    if not epsilon > 0.0:
         raise OutOfDomainError(f"epsilon must be positive, got {epsilon}")
     if not 0.0 < delta < 0.5:
         raise OutOfDomainError(f"delta must lie in (0, 0.5), got {delta}")
-    if sensitivity < 0.0:
+    if not sensitivity >= 0.0:
         raise OutOfDomainError(f"sensitivity must be nonnegative, got {sensitivity}")
     if sensitivity == 0.0:
         return 0.0
@@ -107,6 +107,8 @@ def privatize(y, sigma, rng_seed: int, *, stream_index: int = 0) -> np.ndarray:
     sigma = as_vector(sigma, "sigma", length=y.shape[1])
     if np.any(sigma < 0.0):
         raise NonPositiveSigmaError("noise scales must be nonnegative")
+    if stream_index < 0:
+        raise OutOfDomainError(f"stream_index must be nonnegative, got {stream_index}")
     rng = gaussian_generator(rng_seed, trial=stream_index, stream=STREAM_PRIVACY)
     return y + rng.standard_normal(y.shape) * sigma
 

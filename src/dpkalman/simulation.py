@@ -31,7 +31,8 @@ CSV_HEADER = (
     "bound_prior_lo,bound_prior_hi,bound_post_lo,bound_post_hi"
 )
 
-DEFAULT_BURN_IN = 10
+# Steps left out of the summary at the start of each trial.
+BURN_IN = 10
 
 # Trials per noise block: block b holds trials [b * NOISE_BLOCK, (b + 1) *
 # NOISE_BLOCK) and draws from the (seed, b, stream) substreams.
@@ -54,15 +55,12 @@ class SimulationConfig:
     trials: int
     seed: int
     x0_cov: np.ndarray | None = None
-    burn_in: int = DEFAULT_BURN_IN
 
     def __post_init__(self):
         if self.horizon_T < 1:
             raise ValidationError(f"horizon_T must be >= 1, got {self.horizon_T}")
         if self.trials < 1:
             raise ValidationError(f"trials must be >= 1, got {self.trials}")
-        if self.burn_in < 0:
-            raise ValidationError(f"burn_in must be >= 0, got {self.burn_in}")
         if isinstance(self.system, NetworkModel):
             if self.privacy is not None:
                 raise ValidationError("a network carries per-agent privacy; top-level privacy must be None")
@@ -183,7 +181,7 @@ def simulate(config: SimulationConfig, *, threads: int = 1) -> SimulationResult:
             for f in futures:
                 f.result()
 
-    burn = min(config.burn_in, T - 1)
+    burn = min(BURN_IN, T - 1)
     per_trial_prior = out_prior[:, burn:].mean(axis=1)
     per_trial_post = out_post[:, burn:].mean(axis=1)
     if trials > 1:

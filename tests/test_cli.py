@@ -211,6 +211,23 @@ class TestDareCommand:
         assert out.startswith("trace_prior: ")
         assert "privacy_compliant: True" in out
 
+    def test_iteration_cap_exits_three(self, write_config, capsys, monkeypatch):
+        # H=0.999, W=0.01 at epsilon=0.1 needs 3420 iterations
+        doc = {
+            "system": {
+                "H": matrix(1, 1, [[0.999]]),
+                "C": matrix(1, 1, [[1.0]]),
+                "W": matrix(1, 1, [[0.01]]),
+                "x0_hat": [0.0],
+            },
+            "privacy": {"epsilon": 0.1, "delta": 0.001, "adjacency_B": 1.0},
+        }
+        monkeypatch.setattr(dpkalman.linalg, "DARE_MAX_ITERATIONS", 50)
+        code, out, err = run(capsys, "dare", "--config", write_config(doc), "--json")
+        assert code == 3
+        assert out == ""
+        assert "within 50 iterations" in err
+
 
 class TestSimulateCommand:
     def test_writes_files_and_summary(self, write_config, tmp_path, capsys):
@@ -387,6 +404,28 @@ class TestExitTaxonomy:
         code, _, err = run(capsys, "dare", "--config", "/no/such/file.json")
         assert code == 1
         assert "config" in err
+
+
+class TestNonFiniteNumbers:
+    SETTERS = {
+        "calibration.B_u": lambda d, v: d["calibration"].update(B_u=v),
+        "privacy.epsilon": lambda d, v: d["privacy"].update(epsilon=v),
+        "system.W.entries[0][0]": lambda d, v: d["system"]["W"]["entries"][0].__setitem__(0, v),
+    }
+
+    # json.dumps writes NaN, Infinity and -Infinity for these floats; the
+    # integer is a finite JSON number too large for a float
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400],
+                             ids=["NaN", "Infinity", "-Infinity", "int-overflow"])
+    @pytest.mark.parametrize("field", sorted(SETTERS))
+    @pytest.mark.parametrize("command", ["calibrate", "dare", "bounds"])
+    def test_rejected_as_config_error(self, command, field, value, write_config, capsys):
+        doc = case_study_doc()
+        self.SETTERS[field](doc, value)
+        code, out, err = run(capsys, command, "--config", write_config(doc), "--json")
+        assert code == 1
+        assert out == ""
+        assert field in err
 
 
 def strict_json(text):

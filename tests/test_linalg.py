@@ -6,11 +6,14 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_discrete_are
 
+import dpkalman.linalg
 from dpkalman import (
     DimensionMismatchError,
     FactorizationError,
+    NoConvergenceError,
     NonSymmetricError,
     NotDetectableError,
+    PrivacyConfig,
     SingularMatrixError,
     SystemModel,
     ValidationError,
@@ -125,6 +128,16 @@ class TestSolveDare:
         with pytest.raises(DimensionMismatchError):
             solve_dare(case_study_system(), np.eye(3))
 
+    def test_iteration_cap_raises(self, monkeypatch):
+        # slow-mixing plant: at epsilon = 0.1 the iteration needs 3420 steps
+        system = SystemModel(H=[[0.999]], C=[[1.0]], W=[[0.01]], x0_hat=[0.0])
+        sigma = PrivacyConfig.for_system(system, epsilon=0.1, delta=1e-3, adjacency_B=1.0).sigma
+        V = np.diag(sigma**2)
+        assert solve_dare(system, V).iterations == 3420
+        monkeypatch.setattr(dpkalman.linalg, "DARE_MAX_ITERATIONS", 50)
+        with pytest.raises(NoConvergenceError, match=r"within 50 iterations \(residual \d\.\d{3}e-\d+\)"):
+            solve_dare(system, V)
+
     @pytest.mark.parametrize("seed", range(12))
     def test_residual_dominance_and_scipy_agreement(self, seed):
         rng = np.random.default_rng(1000 + seed)
@@ -133,6 +146,16 @@ class TestSolveDare:
         ric = solve_dare(system, V)
         # residual contract
         assert ric.residual <= 1e-10
+        # the reported residual is the fixed-point defect of the returned sigma
+        H, C, W, S = system.H, system.C, system.W, ric.sigma
+        eye = np.eye(system.n)
+        inner = np.linalg.solve(np.linalg.solve(S, eye) + C.T @ np.linalg.solve(V, C), eye)
+        image = H @ inner @ H.T + W
+        image = 0.5 * (image + image.T)
+        recomputed = np.linalg.norm(image - S) / np.linalg.norm(S)
+        assert ric.residual == pytest.approx(recomputed, rel=1e-12, abs=0.0)
+        # sigma_bar is the posterior of the returned sigma
+        assert np.array_equal(ric.sigma_bar, posterior_covariance(S, C, V))
         # the solution dominates the process noise
         assert np.linalg.eigvalsh(ric.sigma - system.W).min() >= -1e-8
         # estimation never beats prediction in trace

@@ -122,9 +122,13 @@ class TestGaussianSigma:
         with pytest.raises(OutOfDomainError):
             gaussian_sigma(0.0, 0.05, 1.0)
         with pytest.raises(OutOfDomainError):
+            gaussian_sigma(math.nan, 0.05, 1.0)
+        with pytest.raises(OutOfDomainError):
             gaussian_sigma(1.0, 0.5, 1.0)
         with pytest.raises(OutOfDomainError):
             gaussian_sigma(1.0, 0.05, -1.0)
+        with pytest.raises(OutOfDomainError):
+            gaussian_sigma(1.0, 0.05, math.nan)
 
     @given(
         st.floats(0.05, 20.0),
@@ -197,6 +201,10 @@ class TestPrivatize:
     def test_rejects_negative_sigma(self):
         with pytest.raises(NonPositiveSigmaError):
             privatize(np.zeros((3, 1)), np.array([-1.0]), rng_seed=0)
+
+    def test_rejects_negative_stream_index(self):
+        with pytest.raises(OutOfDomainError, match="stream_index"):
+            privatize(np.zeros((3, 1)), np.array([1.0]), rng_seed=0, stream_index=-1)
 
 
 class TestPrivacyConfig:
