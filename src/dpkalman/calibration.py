@@ -51,7 +51,7 @@ class CalibrationTarget:
             raise InvalidTargetError(
                 f"delta must lie in [{DELTA_MIN}, {DELTA_MAX}] for calibration, got {self.delta}"
             )
-        if self.adjacency_B <= 0.0:
+        if not (math.isfinite(self.adjacency_B) and self.adjacency_B > 0.0):
             raise InvalidTargetError(f"adjacency_B must be positive, got {self.adjacency_B}")
 
 

@@ -207,7 +207,8 @@ def _cmd_simulate(args) -> int:
         horizon_T=sim.horizon_T, trials=sim.trials,
         seed=args.seed if args.seed is not None else sim.seed,
     )
-    result = simulate(sim_config, threads=args.threads)
+    # per-step paths are kept only when the CSV needs them
+    result = simulate(sim_config, threads=args.threads, paths=bool(args.out))
     if args.out:
         write_csv(result, args.out)
         print(f"wrote {result.trials * result.horizon_T} rows to {args.out}", file=sys.stderr)

@@ -6,7 +6,7 @@ the measurement update with the received output, then predicts one step ahead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,10 +25,25 @@ class FilterState:
 
 @dataclass(frozen=True, eq=False)
 class FilterSolution:
-    """A system together with the Riccati solution for its noise scales."""
+    """A system together with the Riccati solution for its noise scales.
+
+    ``C_t``, ``H_t`` and ``K_t`` are read-only contiguous copies of Cᵀ, Hᵀ
+    and the gain's transpose, built once: a batched matrix product reads a
+    contiguous operand about twice as fast as a transposed view.
+    """
 
     system: SystemModel
     riccati: RiccatiSolution
+    C_t: np.ndarray = field(init=False, repr=False)
+    H_t: np.ndarray = field(init=False, repr=False)
+    K_t: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for name, matrix in (("C_t", self.system.C), ("H_t", self.system.H),
+                             ("K_t", self.riccati.gain)):
+            arr = np.ascontiguousarray(matrix.T)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
 
 def solve_filter(system: SystemModel, sigma) -> FilterSolution:
@@ -48,9 +63,8 @@ def filter_step(sol: FilterSolution, x_hat_prior, y_tilde) -> tuple[np.ndarray, 
     the next prediction H x_hat. Inputs are not validated here; callers check
     shapes once per trajectory.
     """
-    C, H = sol.system.C, sol.system.H
-    x_hat = x_hat_prior + (y_tilde - x_hat_prior @ C.T) @ sol.riccati.gain.T
-    return x_hat, x_hat @ H.T
+    x_hat = x_hat_prior + (y_tilde - x_hat_prior @ sol.C_t) @ sol.K_t
+    return x_hat, x_hat @ sol.H_t
 
 
 def run_filter(sol: FilterSolution, y_tilde, x0_hat) -> list[FilterState]:

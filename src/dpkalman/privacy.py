@@ -44,7 +44,7 @@ def q_inverse(delta: float) -> float:
 
 def sensitivity_bound(C, adjacency_B: float) -> float:
     """Upper bound s1(C) * B on the worst-case output-trajectory distance."""
-    if adjacency_B <= 0.0:
+    if not (math.isfinite(adjacency_B) and adjacency_B > 0.0):
         raise OutOfDomainError(f"adjacency_B must be positive, got {adjacency_B}")
     s = singular_values(as_matrix(C, "C"))
     return float(s[0]) * adjacency_B
@@ -130,7 +130,7 @@ class PrivacyConfig:
 
     def __post_init__(self):
         floor = gaussian_sigma(self.epsilon, self.delta, self.sensitivity)
-        if self.adjacency_B <= 0.0:
+        if not (math.isfinite(self.adjacency_B) and self.adjacency_B > 0.0):
             raise OutOfDomainError(f"adjacency_B must be positive, got {self.adjacency_B}")
         vec = as_vector(self.sigma, "sigma")
         if np.any(vec < 0.0):

@@ -3,11 +3,17 @@
 Each trial draws a true state path x(k+1) = H x(k) + w(k), privatizes the
 outputs pointwise in time, runs the steady-state filter on the privatized
 stream, and records squared prediction/estimation errors per step next to the
-constant trace bounds. Trials are drawn in blocks of ``NOISE_BLOCK``: process
-noise, privacy noise, and the optional initial spread of block b come from
+constant trace bounds; a squared error adds the squared state components left
+to right. Trials are drawn in blocks of ``NOISE_BLOCK``: process noise,
+privacy noise, and the optional initial spread of block b come from
 independent substreams keyed by (seed, b, stream tag), drawn trial-major, so
 trial i uses row i % NOISE_BLOCK of block i // NOISE_BLOCK. Its values depend
 neither on the trial count nor on how blocks are scheduled across threads.
+
+Each block is reduced to its per-trial means past the burn-in before the next
+block is drawn. ``simulate(..., paths=False)`` keeps only those means, so its
+memory is bounded by one block instead of trials x T; the summary has the same
+bits as with the per-step ``(trials, T)`` paths kept.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -106,10 +113,13 @@ class SimulationSummary:
 
 @dataclass(frozen=True, eq=False)
 class SimulationResult:
-    """Per-step squared errors, (trials, T) arrays, plus bounds and summary."""
+    """Per-step squared errors, (trials, T) arrays, plus bounds and summary.
 
-    sq_err_prior: np.ndarray
-    sq_err_post: np.ndarray
+    The arrays are ``None`` when :func:`simulate` ran with ``paths=False``.
+    """
+
+    sq_err_prior: np.ndarray | None
+    sq_err_post: np.ndarray | None
     bound_prior: tuple[float, float]
     bound_post: tuple[float, float]
     summary: SimulationSummary
@@ -118,26 +128,52 @@ class SimulationResult:
 
     @property
     def trials(self) -> int:
-        return self.sq_err_prior.shape[0]
+        return self.summary.trials
 
     @property
     def horizon_T(self) -> int:
-        return self.sq_err_prior.shape[1]
+        return self.summary.horizon_T
+
+
+def _sq_err(x: np.ndarray, est: np.ndarray, out: np.ndarray) -> None:
+    # Writes ((x - est) ** 2).sum(axis=1) into out by adding the squared
+    # state components left to right. Below 8 components numpy's pairwise
+    # sum is that same left-to-right loop, so the bits agree there, at a
+    # fraction of the cost of a reduce along a short axis.
+    d = x - est
+    d *= d
+    if d.shape[1] == 1:
+        np.copyto(out, d[:, 0])
+        return
+    np.add(d[:, 0], d[:, 1], out=out)
+    for j in range(2, d.shape[1]):
+        out += d[:, j]
 
 
 def _run_trials(lo: int, hi: int, sol: FilterSolution, sigma: np.ndarray, seed: int,
-                T: int, x0_factor: np.ndarray | None,
-                out_prior: np.ndarray, out_post: np.ndarray) -> None:
-    # Fills rows [lo, hi) of the output arrays one noise block at a time. lo
-    # is a multiple of NOISE_BLOCK and so is hi unless it is the trial count,
-    # so no block is split between calls.
+                T: int, burn: int, x0_factor: np.ndarray | None,
+                out_prior: np.ndarray | None, out_post: np.ndarray | None,
+                mean_prior: np.ndarray, mean_post: np.ndarray) -> None:
+    # Simulates trials [lo, hi) one noise block at a time and writes their
+    # per-trial means past the burn-in into rows [lo, hi) of the mean
+    # vectors. lo is a multiple of NOISE_BLOCK and so is hi unless it is the
+    # trial count, so no block is split between calls. The squared errors go
+    # straight into the rows of the output arrays when given, else into one
+    # block buffer per error that each block overwrites.
     system = sol.system
-    x0, H_t, C_t = system.x0_hat, system.H.T, system.C.T
+    x0, H_t, C_t = system.x0_hat, sol.H_t, sol.C_t
     n, q = system.n, system.q
-    chol_w_t = np.linalg.cholesky(system.W).T
+    chol_w_t = np.ascontiguousarray(np.linalg.cholesky(system.W).T)
+    if out_prior is None:
+        size = min(NOISE_BLOCK, hi - lo)
+        buf_prior, buf_post = np.empty((size, T)), np.empty((size, T))
     for start in range(lo, hi, NOISE_BLOCK):
         stop = min(start + NOISE_BLOCK, hi)
         m, block = stop - start, start // NOISE_BLOCK
+        if out_prior is None:
+            rows_prior, rows_post = buf_prior[:m], buf_post[:m]
+        else:
+            rows_prior, rows_post = out_prior[start:stop], out_post[start:stop]
         w = gaussian_generator(seed, trial=block, stream=STREAM_PROCESS).standard_normal((m, T, n))
         v = gaussian_generator(seed, trial=block, stream=STREAM_PRIVACY).standard_normal((m, T, q))
         v *= sigma
@@ -146,18 +182,27 @@ def _run_trials(lo: int, hi: int, sol: FilterSolution, sigma: np.ndarray, seed: 
             x += gaussian_generator(seed, trial=block, stream=STREAM_INIT).standard_normal((m, n)) @ x0_factor.T
         x_prior = np.tile(x0, (m, 1))
         for k in range(T):
-            x_hat, next_prior = filter_step(sol, x_prior, x @ C_t + v[:, k])
-            out_prior[start:stop, k] = ((x - x_prior) ** 2).sum(axis=1)
-            out_post[start:stop, k] = ((x - x_hat) ** 2).sum(axis=1)
-            x = x @ H_t + w[:, k] @ chol_w_t
+            y = x @ C_t
+            y += v[:, k]
+            x_hat, next_prior = filter_step(sol, x_prior, y)
+            _sq_err(x, x_prior, rows_prior[:, k])
+            _sq_err(x, x_hat, rows_post[:, k])
+            x = x @ H_t
+            x += w[:, k] @ chol_w_t
             x_prior = next_prior
+        del w, v  # free this block's noise before the next block draws its own
+        mean_prior[start:stop] = rows_prior[:, burn:].mean(axis=1)
+        mean_post[start:stop] = rows_post[:, burn:].mean(axis=1)
 
 
-def simulate(config: SimulationConfig, *, threads: int = 1) -> SimulationResult:
+def simulate(config: SimulationConfig, *, threads: int = 1, paths: bool = True) -> SimulationResult:
     """Run the Monte Carlo experiment; deterministic for a fixed seed.
 
     ``threads`` controls how trials are chunked across a thread pool and has
-    no effect on the output values.
+    no effect on the output values. With ``paths=False`` the per-step
+    squared errors are reduced to per-trial means one noise block at a time
+    and not kept: the result's ``sq_err_prior`` and ``sq_err_post`` are
+    ``None`` and its summary is the same as with ``paths=True``.
     """
     system, sigma = config.resolve()
     sol = solve_filter(system, sigma)
@@ -165,14 +210,16 @@ def simulate(config: SimulationConfig, *, threads: int = 1) -> SimulationResult:
     post_rep = aposteriori_trace_bounds(system, sigma)
 
     T, trials = config.horizon_T, config.trials
-    out_prior = np.empty((trials, T))
-    out_post = np.empty((trials, T))
+    burn = min(BURN_IN, T - 1)
+    out_prior, out_post = (np.empty((trials, T)), np.empty((trials, T))) if paths else (None, None)
+    per_trial_prior, per_trial_post = np.empty(trials), np.empty(trials)
     x0_factor = symmetric_factor(config.x0_cov) if config.x0_cov is not None else None
 
     # spans start at block boundaries, so threads never split a noise block
     chunk = NOISE_BLOCK * math.ceil(trials / (NOISE_BLOCK * max(1, int(threads))))
     spans = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-    args = (sol, sigma, config.seed, T, x0_factor, out_prior, out_post)
+    args = (sol, sigma, config.seed, T, burn, x0_factor, out_prior, out_post,
+            per_trial_prior, per_trial_post)
     if len(spans) == 1:
         _run_trials(0, trials, *args)
     else:
@@ -181,9 +228,6 @@ def simulate(config: SimulationConfig, *, threads: int = 1) -> SimulationResult:
             for f in futures:
                 f.result()
 
-    burn = min(BURN_IN, T - 1)
-    per_trial_prior = out_prior[:, burn:].mean(axis=1)
-    per_trial_post = out_post[:, burn:].mean(axis=1)
     if trials > 1:
         se_prior = float(per_trial_prior.std(ddof=1) / math.sqrt(trials))
         se_post = float(per_trial_post.std(ddof=1) / math.sqrt(trials))
@@ -210,13 +254,23 @@ def simulate(config: SimulationConfig, *, threads: int = 1) -> SimulationResult:
 
 
 def write_csv(result: SimulationResult, path) -> None:
-    """Write one row per (trial, k): LF line endings, full-precision floats."""
+    """Write one row per (trial, k): LF line endings, full-precision floats.
+
+    Needs the per-step paths, so ``result`` must come from a
+    ``simulate(..., paths=True)`` run.
+    """
+    if result.sq_err_prior is None:
+        raise ValidationError("write_csv needs per-step paths; simulate with paths=True")
+    T = result.horizon_T
     b = [repr(float(v)) for v in (*result.bound_prior, *result.bound_post)]
-    tail = f",{b[0]},{b[1]},{b[2]},{b[3]}\n"
+    ks = [f",{k}," for k in range(T)]
+    commas = [","] * T
+    tails = [f",{b[0]},{b[1]},{b[2]},{b[3]}\n"] * T
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        for t in range(result.trials):
-            prior_row = result.sq_err_prior[t]
-            post_row = result.sq_err_post[t]
-            for k in range(result.horizon_T):
-                fh.write(f"{t},{k},{float(prior_row[k])!r},{float(post_row[k])!r}{tail}")
+        # one string per trial, built from Python floats: tolist() on one
+        # row at a time keeps the extra memory to a row, not the whole array
+        for t, (prior, post) in enumerate(zip(result.sq_err_prior, result.sq_err_post)):
+            fields = zip([str(t)] * T, ks, map(repr, prior.tolist()), commas,
+                         map(repr, post.tolist()), tails)
+            fh.write("".join(chain.from_iterable(fields)))

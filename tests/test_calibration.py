@@ -30,6 +30,11 @@ class TestTargetValidation:
         with pytest.raises(InvalidTargetError):
             target(APRIORI, 21.0, 2000.0, delta=0.2)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_adjacency_radius_checked(self, radius):
+        with pytest.raises(InvalidTargetError, match="adjacency_B"):
+            target(APRIORI, 21.0, 2000.0, adjacency_B=radius)
+
     def test_kind_checked(self):
         with pytest.raises(InvalidTargetError):
             target("transient", 1.0, 2.0)

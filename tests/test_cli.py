@@ -255,6 +255,16 @@ class TestSimulateCommand:
             outputs.append(target.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
 
+    def test_json_same_with_and_without_csv(self, write_config, tmp_path, capsys):
+        # without --out the summary is streamed and no per-step paths are kept
+        path = write_config(case_study_doc(simulation={"horizon_T": 30, "trials": 1100, "seed": 3}))
+        code, streamed, _ = run(capsys, "simulate", "--config", path, "--json")
+        assert code == 0
+        code, kept, _ = run(capsys, "simulate", "--config", path, "--json",
+                            "--out", str(tmp_path / "rows.csv"))
+        assert code == 0
+        assert streamed == kept
+
     def test_seed_flag_overrides(self, write_config, tmp_path, capsys):
         path = write_config(case_study_doc())
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -94,6 +94,11 @@ class TestSensitivityBound:
     def test_diagonal(self):
         assert sensitivity_bound(np.diag([2.0, 1.0]), 3.0) == pytest.approx(6.0)
 
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_domain(self, radius):
+        with pytest.raises(OutOfDomainError, match="adjacency_B"):
+            sensitivity_bound(np.eye(2), radius)
+
     def test_matches_unit_sphere_search(self):
         rng = np.random.default_rng(11)
         C = rng.normal(size=(3, 3))
@@ -225,7 +230,8 @@ class TestPrivacyConfig:
             PrivacyConfig.for_system(system, epsilon=LN3, delta=0.001, adjacency_B=1.0, sigma=1.0)
 
     @pytest.mark.parametrize(
-        "field,value", [("epsilon", 0.0), ("delta", 0.5), ("sensitivity", -1.0), ("adjacency_B", 0.0)]
+        "field,value", [("epsilon", 0.0), ("delta", 0.5), ("sensitivity", -1.0), ("adjacency_B", 0.0),
+                        ("adjacency_B", math.nan), ("adjacency_B", math.inf), ("adjacency_B", -math.inf)]
     )
     def test_direct_construction_checks_parameters(self, field, value):
         kwargs = dict(epsilon=1.0, delta=0.01, adjacency_B=1.0, sensitivity=1.0, sigma=np.array([10.0]))

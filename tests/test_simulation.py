@@ -29,6 +29,19 @@ def case_config(trials=200, horizon=100, seed=42, **kw):
                             trials=trials, seed=seed, **kw)
 
 
+def dense_config(trials, horizon, seed, n=16):
+    # a seeded stable plant with dense H and W: n >= 8 state components
+    rng = np.random.default_rng(16)
+    H = rng.normal(size=(n, n))
+    H *= 0.9 / np.max(np.abs(np.linalg.eigvals(H)))
+    body = rng.normal(size=(n, n))
+    system = SystemModel(H=H, C=np.diag(rng.uniform(0.5, 2.0, size=n)),
+                         W=body @ body.T / n + np.eye(n), x0_hat=rng.normal(size=n))
+    privacy = PrivacyConfig.for_system(system, epsilon=1.0, delta=0.001, adjacency_B=1.0)
+    return SimulationConfig(system=system, privacy=privacy, horizon_T=horizon,
+                            trials=trials, seed=seed)
+
+
 class TestDeterminism:
     def test_bitwise_reproducible(self):
         a = simulate(case_config(trials=50))
@@ -45,13 +58,19 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("x0_cov", [None, 25.0 * np.eye(2)], ids=["mean-start", "spread-start"])
     def test_thread_count_irrelevant_across_blocks(self, x0_cov):
-        # three noise blocks, the last one partial, so the threads split them
+        # three noise blocks, the last one partial, so the threads split them;
+        # the streamed summary (no paths kept) equals the one from the paths
         trials = 2 * NOISE_BLOCK + 37
-        base = simulate(case_config(trials=trials, horizon=8, x0_cov=x0_cov), threads=1)
-        for threads in (2, 3, 7):
-            other = simulate(case_config(trials=trials, horizon=8, x0_cov=x0_cov), threads=threads)
+        config = case_config(trials=trials, horizon=8, x0_cov=x0_cov)
+        base = simulate(config, threads=1)
+        for threads in (1, 2, 3, 7):
+            other = simulate(config, threads=threads)
             np.testing.assert_array_equal(base.sq_err_prior, other.sq_err_prior)
             np.testing.assert_array_equal(base.sq_err_post, other.sq_err_post)
+            streamed = simulate(config, threads=threads, paths=False)
+            assert streamed.sq_err_prior is None and streamed.sq_err_post is None
+            assert streamed.summary == base.summary
+            assert (streamed.trials, streamed.horizon_T) == (trials, 8)
 
     def test_trials_differ_within_a_run(self):
         res = simulate(case_config(trials=2))
@@ -63,6 +82,12 @@ class TestDeterminism:
         write_csv(res, p1)
         write_csv(simulate(case_config(trials=20)), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_csv_needs_paths(self, tmp_path):
+        res = simulate(case_config(trials=3, horizon=5), paths=False)
+        with pytest.raises(ValidationError, match="paths"):
+            write_csv(res, tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
 
     def test_csv_format(self, tmp_path):
         res = simulate(case_config(trials=3, horizon=5))
@@ -139,23 +164,30 @@ class TestFilterWiring:
         np.testing.assert_allclose(res.sq_err_post[0], post, rtol=1e-12, atol=1e-12)
 
 
-    @pytest.mark.parametrize("trial", [5, NOISE_BLOCK], ids=["row-5-of-block-0", "row-0-of-block-1"])
-    def test_trial_is_its_row_of_the_block_stream(self, trial):
+    @pytest.mark.parametrize("make_config,trial", [
+        pytest.param(case_config, 5, id="row-5-of-block-0"),
+        pytest.param(case_config, NOISE_BLOCK, id="row-0-of-block-1"),
+        pytest.param(dense_config, 5, id="dense-n16-row-5-of-block-0"),
+        pytest.param(dense_config, NOISE_BLOCK, id="dense-n16-row-0-of-block-1"),
+    ])
+    def test_trial_is_its_row_of_the_block_stream(self, make_config, trial):
         # trial i draws row i % NOISE_BLOCK of block i // NOISE_BLOCK's
-        # trial-major (trials, T, n) streams
+        # trial-major (trials, T, n) streams; the run has trial + 1 trials, so
+        # row 0 of block 1 is a block of one trial
         seed, T = 13, 40
-        cfg = case_config(trials=trial + 1, horizon=T, seed=seed)
+        cfg = make_config(trials=trial + 1, horizon=T, seed=seed)
         res = simulate(cfg)
         system, sigma = cfg.system, cfg.privacy.sigma
+        n, q = system.n, system.q
         block, row = divmod(trial, NOISE_BLOCK)
 
-        def draw(stream):
+        def draw(stream, width):
             gen = gaussian_generator(seed, trial=block, stream=stream)
-            return gen.standard_normal((row + 1, T, 2))[row]
+            return gen.standard_normal((row + 1, T, width))[row]
 
-        w = draw(STREAM_PROCESS) @ np.linalg.cholesky(system.W).T
-        v = draw(STREAM_PRIVACY) * sigma
-        x = np.empty((T, 2))
+        w = draw(STREAM_PROCESS, n) @ np.linalg.cholesky(system.W).T
+        v = draw(STREAM_PRIVACY, q) * sigma
+        x = np.empty((T, n))
         x[0] = system.x0_hat
         for k in range(T - 1):
             x[k + 1] = system.H @ x[k] + w[k]
@@ -184,6 +216,16 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 2 * (res.sq_err_prior.nbytes + res.sq_err_post.nbytes)
+
+    def test_summary_without_paths_holds_one_block(self):
+        # the two (trials, T) outputs alone would take 64 MB here
+        tracemalloc.start()
+        try:
+            simulate(case_config(trials=20_000, horizon=200), paths=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestGaussianInitialSpread:
