@@ -7,8 +7,11 @@ constant trace bounds; a squared error adds the squared state components left
 to right. Trials are drawn in blocks of ``NOISE_BLOCK``: process noise,
 privacy noise, and the optional initial spread of block b come from
 independent substreams keyed by (seed, b, stream tag), drawn trial-major, so
-trial i uses row i % NOISE_BLOCK of block i // NOISE_BLOCK. Its values depend
-neither on the trial count nor on how blocks are scheduled across threads.
+trial i uses row i % NOISE_BLOCK of block i // NOISE_BLOCK. Its values do
+not depend on how blocks are scheduled across threads, and the first N trials
+of a longer run equal a run of N trials: bit for bit on the case-study plant,
+to a few ulp in general, because a block of fewer trials takes another BLAS
+path for its matrix products and a dense plant rounds differently there.
 
 Each block is reduced to its per-trial means past the burn-in before the next
 block is drawn. ``simulate(..., paths=False)`` keeps only those means, so its
@@ -164,6 +167,7 @@ def _run_trials(lo: int, hi: int, sol: FilterSolution, sigma: np.ndarray, seed: 
     x0, H_t, C_t = system.x0_hat, sol.H_t, sol.C_t
     n, q = system.n, system.q
     chol_w_t = np.ascontiguousarray(np.linalg.cholesky(system.W).T)
+    sigma_row = np.tile(sigma, T)
     if out_prior is None:
         size = min(NOISE_BLOCK, hi - lo)
         buf_prior, buf_post = np.empty((size, T)), np.empty((size, T))
@@ -175,8 +179,12 @@ def _run_trials(lo: int, hi: int, sol: FilterSolution, sigma: np.ndarray, seed: 
         else:
             rows_prior, rows_post = out_prior[start:stop], out_post[start:stop]
         w = gaussian_generator(seed, trial=block, stream=STREAM_PROCESS).standard_normal((m, T, n))
-        v = gaussian_generator(seed, trial=block, stream=STREAM_PRIVACY).standard_normal((m, T, q))
-        v *= sigma
+        # drawn as (m, T * q) and scaled there: the same products as scaling
+        # the (m, T, q) array by sigma, but several times faster at small q
+        # than broadcasting over a last axis of length q
+        v = gaussian_generator(seed, trial=block, stream=STREAM_PRIVACY).standard_normal((m, T * q))
+        v *= sigma_row
+        v = v.reshape(m, T, q)
         x = np.tile(x0, (m, 1))
         if x0_factor is not None:
             x += gaussian_generator(seed, trial=block, stream=STREAM_INIT).standard_normal((m, n)) @ x0_factor.T

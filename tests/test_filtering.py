@@ -5,11 +5,13 @@ import pytest
 
 from dpkalman import (
     DimensionMismatchError,
+    PrivacyConfig,
     SystemModel,
     ValidationError,
     run_filter,
     solve_filter,
 )
+from dpkalman.filtering import FILTER_WINDOW
 from helpers import case_study_system, reference_paths
 
 LN3 = math.log(3.0)
@@ -142,6 +144,100 @@ class TestRunFilter:
         b = run_filter(sol, stream, np.zeros(2))
         for sa, sb in zip(a, b):
             np.testing.assert_array_equal(sa.x_hat, sb.x_hat)
+
+
+def dense_solution(n, q, seed=0):
+    """Seeded stable plant with dense H, C (q x n) and W, a nonzero x0_hat."""
+    rng = np.random.default_rng([seed, n, q])
+    H = rng.normal(size=(n, n))
+    H *= 0.9 / np.max(np.abs(np.linalg.eigvals(H)))
+    body = rng.normal(size=(n, n))
+    system = SystemModel(H=H, C=rng.normal(size=(q, n)), W=body @ body.T / n + np.eye(n),
+                         x0_hat=rng.normal(size=n))
+    return solve_filter(system, rng.uniform(0.5, 2.0, size=q))
+
+
+def slow_scalar_solution():
+    """H=0.999 at epsilon=0.1: the prediction-form F is about 0.997."""
+    system = SystemModel(H=[[0.999]], C=[[1.0]], W=[[0.01]], x0_hat=[0.5])
+    sigma = PrivacyConfig.for_system(system, epsilon=0.1, delta=1e-3, adjacency_B=1.0).sigma
+    return solve_filter(system, sigma)
+
+
+def plain_filter(sol, y_tilde, x0_hat):
+    """Per-step reference: estimate p + K(y - Cp), then predict H est."""
+    system, gain = sol.system, sol.riccati.gain
+    priors = np.empty((len(y_tilde), system.n))
+    ests = np.empty_like(priors)
+    p = np.asarray(x0_hat, dtype=float)
+    for k, y in enumerate(y_tilde):
+        priors[k] = p
+        ests[k] = p + gain @ (y - system.C @ p)
+        p = system.H @ ests[k]
+    return priors, ests
+
+
+def trajectory(states):
+    return (np.array([s.x_hat_prior for s in states]), np.array([s.x_hat for s in states]))
+
+
+def assert_close_to_scale(got, want, rtol):
+    # entrywise, relative to the estimates' magnitude: a near-zero entry
+    # carries the rounding of the whole sum it came from
+    scale = 1.0 + max(np.abs(w).max() for w in want)
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= rtol * scale
+
+
+class TestWholeTrajectory:
+    """run_filter's windowed doubling against the plain per-step recursion."""
+
+    L = FILTER_WINDOW
+
+    @pytest.mark.parametrize("T", [1, 2, L - 1, L, L + 1, 2 * L + 1, 2000])
+    @pytest.mark.parametrize("n,q", [(1, 1), (2, 2), (5, 5), (18, 18), (64, 64), (5, 2), (18, 3)])
+    def test_matches_plain_recursion(self, n, q, T):
+        sol = dense_solution(n, q)
+        y = np.random.default_rng([T, n, q]).normal(scale=3.0, size=(T, q))
+        x0 = sol.system.x0_hat
+        assert np.all(x0 != 0.0)
+        states = run_filter(sol, y, x0)
+        assert [s.k for s in states] == list(range(T))
+        assert_close_to_scale(trajectory(states), plain_filter(sol, y, x0), 1e-12)
+
+    @pytest.mark.parametrize("T", [L + 1, 2000])
+    def test_slow_plant(self, T):
+        sol = slow_scalar_solution()
+        assert 0.99 < abs(sol.F_t[0, 0]) < 1.0
+        y = np.random.default_rng(T).normal(scale=3.0, size=(T, 1))
+        states = run_filter(sol, y, sol.system.x0_hat)
+        assert_close_to_scale(trajectory(states), plain_filter(sol, y, sol.system.x0_hat), 1e-12)
+
+    def test_prediction_form_matrices(self):
+        sol = dense_solution(5, 2)
+        K, C, H = sol.riccati.gain, sol.system.C, sol.system.H
+        A = np.eye(5) - K @ C
+        np.testing.assert_allclose(sol.A_t, A.T, rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(sol.F_t, (H @ A).T, rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(sol.G_t, (H @ K).T, rtol=1e-13, atol=1e-14)
+        for arr in (sol.A_t, sol.F_t, sol.G_t):
+            assert arr.flags.c_contiguous and not arr.flags.writeable
+
+    def test_returned_arrays_are_read_only(self):
+        sol = dense_solution(5, 2)
+        states = run_filter(sol, np.ones((2 * self.L + 1, 2)), sol.system.x0_hat)
+        for state in (states[0], states[-1]):
+            for arr in (state.x_hat, state.x_hat_prior):
+                with pytest.raises(ValueError):
+                    arr[0] = 1.0
+
+    @pytest.mark.parametrize("N", [1, 17, 1000])
+    def test_prefix_agrees_with_longer_run(self, N):
+        sol = dense_solution(18, 18)
+        y = np.random.default_rng(N).normal(scale=3.0, size=(2000, 18))
+        full = trajectory(run_filter(sol, y, sol.system.x0_hat)[:N])
+        prefix = trajectory(run_filter(sol, y[:N], sol.system.x0_hat))
+        assert_close_to_scale(prefix, full, 1e-13)
 
 
 class TestStatisticalBehavior:
