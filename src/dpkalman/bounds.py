@@ -35,6 +35,11 @@ APRIORI_LOGDET = "apriori_logdet"
 APOSTERIORI_LOGDET = "aposteriori_logdet"
 
 
+def json_number(x: float) -> float | None:
+    """``x`` as a float, or ``None`` (JSON null) when it is not finite."""
+    return float(x) if math.isfinite(x) else None
+
+
 @dataclass(frozen=True)
 class ChannelExtremes:
     """Channels with the weakest (l) and strongest (u) signal-to-noise ratio."""
@@ -62,13 +67,10 @@ class BoundReport:
     intermediates: dict[str, float]
 
     def to_dict(self) -> dict:
-        upper = self.upper
-        if upper is not None and math.isinf(upper):
-            upper = None
         return {
             "kind": self.kind,
             "lower": float(self.lower),
-            "upper": None if upper is None else float(upper),
+            "upper": None if self.upper is None else json_number(self.upper),
             "applicable": bool(self.applicable),
             "intermediates": {k: float(v) for k, v in self.intermediates.items()},
         }

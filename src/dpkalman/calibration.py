@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import channel_extremes
+from .bounds import channel_extremes, json_number
 from .errors import DegenerateSystemError, InvalidTargetError, OutOfDomainError
 from .linalg import SystemModel, solve_dare
 from .privacy import gaussian_sigma, sensitivity_bound
@@ -72,14 +72,10 @@ class EpsilonInterval:
     sigma_at_eps_max: float = 0.0
 
     def to_dict(self) -> dict:
-        # non-finite endpoints (degenerate output channels) become null so the
-        # document stays strict JSON
-        def num(x: float):
-            return float(x) if math.isfinite(x) else None
-
+        # non-finite endpoints (degenerate output channels) become null
         return {
-            "eps_min": num(self.eps_min),
-            "eps_max": num(self.eps_max),
+            "eps_min": json_number(self.eps_min),
+            "eps_max": json_number(self.eps_max),
             "feasible": bool(self.feasible),
             "eta_values": {k: float(v) for k, v in self.eta_values.items()},
             "sigma_at_eps_min": float(self.sigma_at_eps_min),

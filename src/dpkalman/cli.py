@@ -14,13 +14,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
-from .bounds import all_bounds
+from .bounds import all_bounds, json_number
 from .calibration import (
     APRIORI,
     CalibrationTarget,
@@ -212,13 +211,10 @@ def _cmd_simulate(args) -> int:
     if args.out:
         write_csv(result, args.out)
         print(f"wrote {result.trials * result.horizon_T} rows to {args.out}", file=sys.stderr)
-    def num(x: float):
-        return float(x) if math.isfinite(x) else None
-
     doc = result.summary.to_dict()
     doc["seed"] = int(result.seed)
-    doc["bound_prior"] = [num(result.bound_prior[0]), num(result.bound_prior[1])]
-    doc["bound_post"] = [num(result.bound_post[0]), num(result.bound_post[1])]
+    doc["bound_prior"] = [json_number(b) for b in result.bound_prior]
+    doc["bound_post"] = [json_number(b) for b in result.bound_post]
     if args.summary:
         with open(args.summary, "w", encoding="ascii", newline="") as fh:
             fh.write(json.dumps(doc, indent=2) + "\n")

@@ -156,10 +156,13 @@ def _parse_simulation(obj, context: str) -> SimulationSpec:
         trials=_integer(obj["trials"], f"{context}.trials"),
         seed=_integer(obj["seed"], f"{context}.seed"),
     )
-    if spec.horizon_T < 1:
-        raise ConfigError(f"{context}.horizon_T must be >= 1, got {spec.horizon_T}")
-    if spec.trials < 1:
-        raise ConfigError(f"{context}.trials must be >= 1, got {spec.trials}")
+    # sizes above sys.maxsize cannot index an array; the seed is taken mod 2**64
+    for name in ("horizon_T", "trials"):
+        value = getattr(spec, name)
+        if value < 1:
+            raise ConfigError(f"{context}.{name} must be >= 1, got {value}")
+        if value > sys.maxsize:
+            raise ConfigError(f"{context}.{name} must be <= {sys.maxsize}, got {value}")
     return spec
 
 

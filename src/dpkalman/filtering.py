@@ -2,15 +2,19 @@
 
 The gain is fixed at its steady-state value from time zero; each step applies
 the measurement update with the received output, then predicts one step ahead.
+In row form, with the priors p_k, estimates x̂_k and outputs y_k as row
+vectors, A_t = I - Cᵀ K_t = (I - KC)ᵀ, H_t = Hᵀ and K_t = Kᵀ,
 
-:func:`filter_step` is that step on a batch of trajectories.
+    x̂_k = p_k A_t + y_k K_t,    p_{k+1} = x̂_k H_t.
+
+On a plant x_{k+1} = x_k H_t + w_k, y_k = x_k Cᵀ + v_k, the prior error
+e_k = x_k - p_k and the estimation error ē_k = x_k - x̂_k follow a recursion
+driven by the noises alone, which :func:`dpkalman.simulation.simulate` steps:
+
+    ē_k = e_k A_t - v_k K_t,    e_{k+1} = ē_k H_t + w_k.
+
 :func:`run_filter` computes a whole trajectory at once from the prediction
-form of the same recursion. In row form, with the priors p_k and estimates
-x̂_k as row vectors,
-
-    x̂_k = p_k A_t + y_k K_t,    p_{k+1} = p_k F_t + y_k G_t,
-
-where A_t = I - C_t K_t = (I - KC)ᵀ, F_t = A_t H_t and G_t = K_t H_t. The
+form p_{k+1} = p_k F_t + y_k G_t, with F_t = A_t H_t and G_t = K_t H_t. The
 priors are a linear recursion driven by the outputs, which windowed doubling
 evaluates in O(T / FILTER_WINDOW + log FILTER_WINDOW) numpy calls (the
 parallel-prefix evaluation of a linear recursion; Blelloch, "Prefix sums and
@@ -49,17 +53,16 @@ class FilterState:
 class FilterSolution:
     """A system together with the Riccati solution for its noise scales.
 
-    ``C_t``, ``H_t`` and ``K_t`` are read-only contiguous copies of Cᵀ, Hᵀ
-    and the gain's transpose, built once: a batched matrix product reads a
+    ``H_t`` and ``K_t`` are read-only contiguous copies of Hᵀ and the
+    gain's transpose, built once: a batched matrix product reads a
     contiguous operand about twice as fast as a transposed view. ``A_t``,
-    ``F_t`` and ``G_t`` are the row-form matrices of the prediction form
-    (see the module docstring): A_t = I - C_t K_t, F_t = A_t H_t and
-    G_t = K_t H_t, read-only and contiguous too.
+    ``F_t`` and ``G_t`` are the row-form matrices of the module docstring:
+    A_t = I - Cᵀ K_t, F_t = A_t H_t and G_t = K_t H_t, read-only and
+    contiguous too.
     """
 
     system: SystemModel
     riccati: RiccatiSolution
-    C_t: np.ndarray = field(init=False, repr=False)
     H_t: np.ndarray = field(init=False, repr=False)
     K_t: np.ndarray = field(init=False, repr=False)
     A_t: np.ndarray = field(init=False, repr=False)
@@ -70,8 +73,7 @@ class FilterSolution:
         C_t, H_t, K_t = (np.ascontiguousarray(m.T) for m in
                          (self.system.C, self.system.H, self.riccati.gain))
         A_t = np.eye(self.system.n) - C_t @ K_t
-        arrays = {"C_t": C_t, "H_t": H_t, "K_t": K_t,
-                  "A_t": A_t, "F_t": A_t @ H_t, "G_t": K_t @ H_t}
+        arrays = {"H_t": H_t, "K_t": K_t, "A_t": A_t, "F_t": A_t @ H_t, "G_t": K_t @ H_t}
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -87,22 +89,11 @@ def solve_filter(system: SystemModel, sigma) -> FilterSolution:
     return FilterSolution(system=system, riccati=solve_dare(system, np.diag(sigma**2)))
 
 
-def filter_step(sol: FilterSolution, x_hat_prior, y_tilde) -> tuple[np.ndarray, np.ndarray]:
-    """One fixed-gain step on arrays with any leading batch axes.
-
-    Returns the estimate x_hat = x_hat_prior + K (y_tilde - C x_hat_prior) and
-    the next prediction H x_hat. Inputs are not validated here; callers check
-    shapes once per trajectory.
-    """
-    x_hat = x_hat_prior + (y_tilde - x_hat_prior @ sol.C_t) @ sol.K_t
-    return x_hat, x_hat @ sol.H_t
-
-
 def run_filter(sol: FilterSolution, y_tilde, x0_hat) -> list[FilterState]:
     """Filter a whole (T, q) trajectory starting from the prediction ``x0_hat``.
 
     Evaluates the prediction form by windowed doubling (module docstring):
-    the same filter as :func:`filter_step` step by step, equal to it up to
+    the same filter as the step-by-step recursion, equal to it up to
     rounding in the last bits. The returned arrays are read-only.
     """
     y_tilde = as_matrix(y_tilde, "y_tilde")

@@ -1,10 +1,13 @@
 """Seeded Monte Carlo validation of the analytic error bounds.
 
-Each trial draws a true state path x(k+1) = H x(k) + w(k), privatizes the
-outputs pointwise in time, runs the steady-state filter on the privatized
-stream, and records squared prediction/estimation errors per step next to the
-constant trace bounds; a squared error adds the squared state components left
-to right. Trials are drawn in blocks of ``NOISE_BLOCK``: process noise,
+Each trial steps the error recursion of the steady-state filter on the
+privatized outputs (see :mod:`dpkalman.filtering`): the prior error starts at
+the optional initial spread, or 0, and is driven by the process noise and the
+privacy noise alone. No state path is formed, so the errors lose no bits to
+cancellation when the state grows, as on an unstable plant. Each trial
+records squared prediction/estimation errors per step next to the constant
+trace bounds; a squared error adds the squared state components left to
+right. Trials are drawn in blocks of ``NOISE_BLOCK``: process noise,
 privacy noise, and the optional initial spread of block b come from
 independent substreams keyed by (seed, b, stream tag), drawn trial-major, so
 trial i uses row i % NOISE_BLOCK of block i // NOISE_BLOCK. Its values do
@@ -30,7 +33,7 @@ import numpy as np
 
 from .bounds import aposteriori_trace_bounds, apriori_trace_bounds
 from .errors import ValidationError
-from .filtering import FilterSolution, filter_step, solve_filter
+from .filtering import FilterSolution, solve_filter
 from .linalg import SystemModel, as_matrix, require_symmetric, symmetric_factor
 from .network import NetworkModel
 from .privacy import PrivacyConfig
@@ -138,13 +141,11 @@ class SimulationResult:
         return self.summary.horizon_T
 
 
-def _sq_err(x: np.ndarray, est: np.ndarray, out: np.ndarray) -> None:
-    # Writes ((x - est) ** 2).sum(axis=1) into out by adding the squared
-    # state components left to right. Below 8 components numpy's pairwise
-    # sum is that same left-to-right loop, so the bits agree there, at a
-    # fraction of the cost of a reduce along a short axis.
-    d = x - est
-    d *= d
+def _sq_err(e: np.ndarray, out: np.ndarray) -> None:
+    # Writes (e ** 2).sum(axis=1) into out by adding the squared state
+    # components left to right, at a fraction of the cost of a reduce along
+    # a short axis.
+    d = e * e
     if d.shape[1] == 1:
         np.copyto(out, d[:, 0])
         return
@@ -164,7 +165,7 @@ def _run_trials(lo: int, hi: int, sol: FilterSolution, sigma: np.ndarray, seed: 
     # straight into the rows of the output arrays when given, else into one
     # block buffer per error that each block overwrites.
     system = sol.system
-    x0, H_t, C_t = system.x0_hat, sol.H_t, sol.C_t
+    A_t, H_t, K_t = sol.A_t, sol.H_t, sol.K_t
     n, q = system.n, system.q
     chol_w_t = np.ascontiguousarray(np.linalg.cholesky(system.W).T)
     sigma_row = np.tile(sigma, T)
@@ -185,19 +186,17 @@ def _run_trials(lo: int, hi: int, sol: FilterSolution, sigma: np.ndarray, seed: 
         v = gaussian_generator(seed, trial=block, stream=STREAM_PRIVACY).standard_normal((m, T * q))
         v *= sigma_row
         v = v.reshape(m, T, q)
-        x = np.tile(x0, (m, 1))
-        if x0_factor is not None:
-            x += gaussian_generator(seed, trial=block, stream=STREAM_INIT).standard_normal((m, n)) @ x0_factor.T
-        x_prior = np.tile(x0, (m, 1))
+        if x0_factor is None:
+            e = np.zeros((m, n))
+        else:
+            e = gaussian_generator(seed, trial=block, stream=STREAM_INIT).standard_normal((m, n)) @ x0_factor.T
         for k in range(T):
-            y = x @ C_t
-            y += v[:, k]
-            x_hat, next_prior = filter_step(sol, x_prior, y)
-            _sq_err(x, x_prior, rows_prior[:, k])
-            _sq_err(x, x_hat, rows_post[:, k])
-            x = x @ H_t
-            x += w[:, k] @ chol_w_t
-            x_prior = next_prior
+            post = e @ A_t
+            post -= v[:, k] @ K_t
+            _sq_err(e, rows_prior[:, k])
+            _sq_err(post, rows_post[:, k])
+            e = post @ H_t
+            e += w[:, k] @ chol_w_t
         del w, v  # free this block's noise before the next block draws its own
         mean_prior[start:stop] = rows_prior[:, burn:].mean(axis=1)
         mean_post[start:stop] = rows_post[:, burn:].mean(axis=1)

@@ -265,6 +265,29 @@ class TestSimulateCommand:
         assert code == 0
         assert streamed == kept
 
+    @pytest.mark.parametrize("field", ["horizon_T", "trials"])
+    def test_oversized_size_rejected(self, field, write_config, capsys, monkeypatch):
+        # no array can be that long: refused while the config is read, before
+        # simulate allocates anything
+        monkeypatch.setattr("dpkalman.cli.simulate", lambda *a, **k: pytest.fail("simulate ran"))
+        doc = case_study_doc()
+        doc["simulation"][field] = 10**30
+        code, out, err = run(capsys, "simulate", "--config", write_config(doc), "--json")
+        assert code == 1
+        assert out == ""
+        assert f"simulation.{field}" in err
+
+    def test_oversized_seed_taken_mod_2_64(self, write_config, capsys):
+        docs = []
+        for seed in (5, 5 + 2**64 * 10**11):
+            path = write_config(case_study_doc(simulation={"horizon_T": 20, "trials": 10, "seed": seed}))
+            code, out, _ = run(capsys, "simulate", "--config", path, "--json")
+            assert code == 0
+            docs.append(json.loads(out))
+        assert docs[1].pop("seed") == 5 + 2**64 * 10**11
+        docs[0].pop("seed")
+        assert docs[0] == docs[1]
+
     def test_seed_flag_overrides(self, write_config, tmp_path, capsys):
         path = write_config(case_study_doc())
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
