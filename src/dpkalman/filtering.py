@@ -15,29 +15,35 @@ driven by the noises alone, which :func:`dpkalman.simulation.simulate` steps:
 
 :func:`run_filter` computes a whole trajectory at once from the prediction
 form p_{k+1} = p_k F_t + y_k G_t, with F_t = A_t H_t and G_t = K_t H_t. The
-priors are a linear recursion driven by the outputs, which windowed doubling
-evaluates in O(T / FILTER_WINDOW + log FILTER_WINDOW) numpy calls (the
-parallel-prefix evaluation of a linear recursion; Blelloch, "Prefix sums and
-their applications", 1990): log2(FILTER_WINDOW) doubling rounds over the whole
-trajectory make each prior the sum of its last FILTER_WINDOW terms, then one
-product per window carries in the window before it. The estimates then follow
-in one product.
+priors are a linear recursion driven by the outputs, which a two-level
+doubling scan evaluates in O(log T) numpy calls (the parallel-prefix
+evaluation of a linear recursion; Blelloch, "Prefix sums and their
+applications", 1990). The trajectory is cut into windows of L =
+FILTER_WINDOW steps. Level 1: log2 L doubling rounds, each one product over
+the whole trajectory, make each prior the sum of its own window's terms so
+far. Level 2: the same doubling over the window ends, with F_t^L, F_t^2L,
+..., makes each window end the full prior there; then one product with the
+side-by-side powers [F_t, F_t^2, ..., F_t^L] carries the end of each window
+into every step of the next. The estimates then follow in one product.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatchError
 from .linalg import RiccatiSolution, SystemModel, as_matrix, as_vector, solve_dare
 
-# Steps per window of run_filter's doubling; a power of two. Longer windows
-# mean fewer carry products but more doubling rounds over the trajectory: at
-# T = 2000 on one core of a 2-vCPU x86_64 VM, 16 was within 10 % of the
-# fastest of 4..64 for n up to 64, and 30 % slower than 4 at n = 256.
-FILTER_WINDOW = 16
+# Steps per window of run_filter's scan; a power of two. Longer windows mean
+# fewer window ends but more rounds over the whole trajectory and a wider
+# carry product. At T = 2000 on one pinned core of a 2-vCPU x86_64 VM, 8 was
+# the fastest of 4..64 for n = 2, 18 and 64 (16 took 5-11 % longer, 64 took
+# 20-46 % longer) and 5-7 % slower than 4 at n = 256 (16: 18-20 % slower).
+FILTER_WINDOW = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,6 +53,33 @@ class FilterState:
     k: int
     x_hat_prior: np.ndarray
     x_hat: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
+class FilterTrajectory(Sequence):
+    """A filtered trajectory: read-only (T, n) arrays of priors and estimates.
+
+    Row k of ``x_hat_prior`` is the prediction used at step k and row k of
+    ``x_hat`` the estimate after it. The trajectory is also a sequence of
+    per-step :class:`FilterState` records, whose arrays are views of those
+    rows; the records are built at the first per-step access and kept.
+    """
+
+    x_hat_prior: np.ndarray
+    x_hat: np.ndarray
+
+    @cached_property
+    def _states(self) -> list[FilterState]:
+        return list(map(FilterState, range(len(self.x_hat)), self.x_hat_prior, self.x_hat))
+
+    def __len__(self) -> int:
+        return len(self.x_hat)
+
+    def __getitem__(self, index):
+        return self._states[index]
+
+    def __iter__(self):
+        return iter(self._states)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,12 +122,25 @@ def solve_filter(system: SystemModel, sigma) -> FilterSolution:
     return FilterSolution(system=system, riccati=solve_dare(system, np.diag(sigma**2)))
 
 
-def run_filter(sol: FilterSolution, y_tilde, x0_hat) -> list[FilterState]:
+def _powers(F_t: np.ndarray, m: int) -> np.ndarray:
+    # [F_t | F_t^2 | ... | F_t^m] side by side, an (n, m n) array, for m a
+    # power of two: each product F_t^j [F_t ... F_t^j] doubles the stack
+    n = len(F_t)
+    out = np.empty((n, m * n))
+    out[:, :n] = F_t
+    j = 1
+    while j < m:
+        np.matmul(out[:, (j - 1) * n:j * n], out[:, :j * n], out=out[:, j * n:2 * j * n])
+        j *= 2
+    return out
+
+
+def run_filter(sol: FilterSolution, y_tilde, x0_hat) -> FilterTrajectory:
     """Filter a whole (T, q) trajectory starting from the prediction ``x0_hat``.
 
-    Evaluates the prediction form by windowed doubling (module docstring):
-    the same filter as the step-by-step recursion, equal to it up to
-    rounding in the last bits. The returned arrays are read-only.
+    Evaluates the prediction form by a two-level doubling scan (module
+    docstring): the same filter as the step-by-step recursion, equal to it
+    up to rounding in the last bits. The returned arrays are read-only.
     """
     y_tilde = as_matrix(y_tilde, "y_tilde")
     if y_tilde.shape[1] != sol.system.q:
@@ -102,23 +148,38 @@ def run_filter(sol: FilterSolution, y_tilde, x0_hat) -> list[FilterState]:
             f"y_tilde has {y_tilde.shape[1]} channels, system has {sol.system.q}"
         )
     x0_hat = as_vector(x0_hat, "x0_hat", length=sol.system.n)
-    T, L = len(y_tilde), FILTER_WINDOW
-    priors = np.empty((T, sol.system.n))
-    priors[0] = x0_hat
-    np.matmul(y_tilde[:-1], sol.G_t, out=priors[1:])
-    # after the round for span d, each prior sums its last 2d terms; the
-    # right side is evaluated before the add, so it reads the old priors
-    power, d = sol.F_t, 1
+    T, L, n = len(y_tilde), FILTER_WINDOW, sol.system.n
+    nw = -(-T // L)
+    # the terms of the priors' sums, zero-padded to whole windows; no padded
+    # row feeds a returned one
+    buf = np.empty((nw * L, n))
+    buf[0] = x0_hat
+    np.matmul(y_tilde[:-1], sol.G_t, out=buf[1:T])
+    buf[T:] = 0.0
+    windows = buf.reshape(nw, L, n)
+    powers = _powers(sol.F_t, L)
+    # level 1: after the round for span d, each row sums the last 2d terms
+    # of its own window; the product runs over all rows at once and the rows
+    # it would carry across a window boundary are not added
+    d = 1
     while d < min(L, T):
-        priors[d:] += priors[:-d] @ power
-        power, d = power @ power, 2 * d
-    # when T > L, power is now F_t^L: carry each window's full priors into
-    # the next
-    for s in range(L, T, L):
-        end = min(s + L, T)
-        priors[s:end] += priors[s - L:end - L] @ power
+        step = buf @ powers[:, (d - 1) * n:d * n]
+        windows[:, d:] += step.reshape(nw, L, n)[:, :L - d]
+        d *= 2
+    if nw > 1:
+        # level 2: the same doubling over the window ends with F_t^L makes
+        # each end the full prior; then one product carries end w - 1 into
+        # every row i of window w through F_t^(i+1), the end rows included,
+        # so the doubling works on a copy of them
+        ends = windows[:-1, L - 1].copy()
+        power, d = powers[:, -n:], 1
+        while d < nw - 1:
+            ends[d:] += ends[:-d] @ power
+            power, d = power @ power, 2 * d
+        windows[1:] += (ends @ powers).reshape(nw - 1, L, n)
+    priors = buf[:T]
     est = priors @ sol.A_t
     est += y_tilde @ sol.K_t
     priors.setflags(write=False)
     est.setflags(write=False)
-    return list(map(FilterState, range(T), priors, est))
+    return FilterTrajectory(priors, est)

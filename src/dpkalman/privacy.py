@@ -99,7 +99,7 @@ def privatize(y, sigma, rng_seed: int, *, stream_index: int = 0) -> np.ndarray:
     callers privatizing several trajectories under one seed should pass
     distinct stream indices.
     """
-    y = np.array(y, dtype=float)
+    y = np.asarray(y, dtype=float)  # read only: the noise is added into a new array
     if y.ndim != 2 or y.size == 0:
         raise ValidationError(f"trajectory must be a nonempty (T, q) array, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
@@ -109,8 +109,10 @@ def privatize(y, sigma, rng_seed: int, *, stream_index: int = 0) -> np.ndarray:
         raise NonPositiveSigmaError("noise scales must be nonnegative")
     if stream_index < 0:
         raise OutOfDomainError(f"stream_index must be nonnegative, got {stream_index}")
-    rng = gaussian_generator(rng_seed, trial=stream_index, stream=STREAM_PRIVACY)
-    return y + rng.standard_normal(y.shape) * sigma
+    noise = gaussian_generator(rng_seed, trial=stream_index, stream=STREAM_PRIVACY).standard_normal(y.shape)
+    noise *= sigma
+    noise += y
+    return noise
 
 
 @dataclass(frozen=True, eq=False)

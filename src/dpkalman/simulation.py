@@ -25,6 +25,7 @@ bits as with the per-step ``(trials, T)`` paths kept.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
@@ -70,10 +71,13 @@ class SimulationConfig:
     x0_cov: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.horizon_T < 1:
-            raise ValidationError(f"horizon_T must be >= 1, got {self.horizon_T}")
-        if self.trials < 1:
-            raise ValidationError(f"trials must be >= 1, got {self.trials}")
+        # sizes above sys.maxsize cannot index an array
+        for name in ("horizon_T", "trials"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValidationError(f"{name} must be >= 1, got {value}")
+            if value > sys.maxsize:
+                raise ValidationError(f"{name} must be <= {sys.maxsize}, got {value}")
         if isinstance(self.system, NetworkModel):
             if self.privacy is not None:
                 raise ValidationError("a network carries per-agent privacy; top-level privacy must be None")
@@ -154,21 +158,21 @@ def _sq_err(e: np.ndarray, out: np.ndarray) -> None:
         out += d[:, j]
 
 
-def _run_trials(lo: int, hi: int, sol: FilterSolution, sigma: np.ndarray, seed: int,
+def _run_trials(lo: int, hi: int, sol: FilterSolution, sigma_row: np.ndarray, seed: int,
                 T: int, burn: int, x0_factor: np.ndarray | None,
                 out_prior: np.ndarray | None, out_post: np.ndarray | None,
                 mean_prior: np.ndarray, mean_post: np.ndarray) -> None:
     # Simulates trials [lo, hi) one noise block at a time and writes their
     # per-trial means past the burn-in into rows [lo, hi) of the mean
     # vectors. lo is a multiple of NOISE_BLOCK and so is hi unless it is the
-    # trial count, so no block is split between calls. The squared errors go
-    # straight into the rows of the output arrays when given, else into one
-    # block buffer per error that each block overwrites.
+    # trial count, so no block is split between calls. sigma_row holds the
+    # noise scales repeated for every step. The squared errors go straight
+    # into the rows of the output arrays when given, else into one block
+    # buffer per error that each block overwrites.
     system = sol.system
     A_t, H_t, K_t = sol.A_t, sol.H_t, sol.K_t
     n, q = system.n, system.q
     chol_w_t = np.ascontiguousarray(np.linalg.cholesky(system.W).T)
-    sigma_row = np.tile(sigma, T)
     if out_prior is None:
         size = min(NOISE_BLOCK, hi - lo)
         buf_prior, buf_post = np.empty((size, T)), np.empty((size, T))
@@ -212,20 +216,24 @@ def simulate(config: SimulationConfig, *, threads: int = 1, paths: bool = True) 
     ``None`` and its summary is the same as with ``paths=True``.
     """
     system, sigma = config.resolve()
+    T, trials = config.horizon_T, config.trials
+    try:
+        per_trial_prior, per_trial_post = np.empty(trials), np.empty(trials)
+        sigma_row = np.tile(sigma, T)
+        out_prior, out_post = (np.empty((trials, T)), np.empty((trials, T))) if paths else (None, None)
+    except (ValueError, MemoryError) as exc:  # a size numpy cannot address, or too large to hold
+        raise ValidationError(f"trials={trials} x horizon_T={T} cannot be allocated: {exc}") from None
     sol = solve_filter(system, sigma)
     prior_rep = apriori_trace_bounds(system, sigma)
     post_rep = aposteriori_trace_bounds(system, sigma)
 
-    T, trials = config.horizon_T, config.trials
     burn = min(BURN_IN, T - 1)
-    out_prior, out_post = (np.empty((trials, T)), np.empty((trials, T))) if paths else (None, None)
-    per_trial_prior, per_trial_post = np.empty(trials), np.empty(trials)
     x0_factor = symmetric_factor(config.x0_cov) if config.x0_cov is not None else None
 
     # spans start at block boundaries, so threads never split a noise block
     chunk = NOISE_BLOCK * math.ceil(trials / (NOISE_BLOCK * max(1, int(threads))))
     spans = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-    args = (sol, sigma, config.seed, T, burn, x0_factor, out_prior, out_post,
+    args = (sol, sigma_row, config.seed, T, burn, x0_factor, out_prior, out_post,
             per_trial_prior, per_trial_post)
     if len(spans) == 1:
         _run_trials(0, trials, *args)

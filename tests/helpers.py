@@ -86,10 +86,9 @@ def reference_paths(system: SystemModel, sigma, T: int, trials: int, seed: int):
             xs[k] = x
             ys[k] = system.C @ x + rng.normal(size=q) * sigma
             x = system.H @ x + chol_w @ rng.normal(size=n)
-        states = run_filter(sol, ys, system.x0_hat)
-        for k, st in enumerate(states):
-            prior_err[t, k] = xs[k] - st.x_hat_prior
-            post_err[t, k] = xs[k] - st.x_hat
+        traj = run_filter(sol, ys, system.x0_hat)
+        prior_err[t] = xs - traj.x_hat_prior
+        post_err[t] = xs - traj.x_hat
         truth[t] = xs
         outputs[t] = ys
     return sol, prior_err, post_err, truth, outputs

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -276,6 +277,27 @@ class TestSimulateCommand:
         assert code == 1
         assert out == ""
         assert f"simulation.{field}" in err
+
+    @pytest.mark.parametrize("keep_paths", [False, True], ids=["summary", "csv"])
+    def test_unallocatable_trial_count_rejected(self, keep_paths, write_config, tmp_path, capsys):
+        # within sys.maxsize but beyond any array: numpy refuses the first
+        # allocation, which becomes a validation error naming the field
+        doc = case_study_doc()
+        doc["simulation"]["trials"] = 2**62
+        argv = ["simulate", "--config", write_config(doc), "--json"]
+        if keep_paths:
+            argv += ["--out", str(tmp_path / "rows.csv")]
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert "trials" in err and "Traceback" not in err
+        assert peak < 2**20
+        assert not (tmp_path / "rows.csv").exists()
 
     def test_oversized_seed_taken_mod_2_64(self, write_config, capsys):
         docs = []

@@ -5,6 +5,7 @@ import pytest
 
 from dpkalman import (
     DimensionMismatchError,
+    FilterTrajectory,
     PrivacyConfig,
     SystemModel,
     ValidationError,
@@ -190,11 +191,14 @@ def assert_close_to_scale(got, want, rtol):
 
 
 class TestWholeTrajectory:
-    """run_filter's windowed doubling against the plain per-step recursion."""
+    """run_filter's two-level doubling against the plain per-step recursion."""
 
     L = FILTER_WINDOW
 
-    @pytest.mark.parametrize("T", [1, 2, L - 1, L, L + 1, 2 * L + 1, 2000])
+    # window counts 1, 2, 3, 5, 33, 34 and 130, with the last window full
+    # or partial
+    @pytest.mark.parametrize("T", [1, 2, L - 1, L, L + 1, 2 * L - 1, 2 * L, 2 * L + 1, 4 * L + 1,
+                                   33 * L, 33 * L + 1, 129 * L + 3, 2000])
     @pytest.mark.parametrize("n,q", [(1, 1), (2, 2), (5, 5), (18, 18), (64, 64), (5, 2), (18, 3)])
     def test_matches_plain_recursion(self, n, q, T):
         sol = dense_solution(n, q)
@@ -205,7 +209,14 @@ class TestWholeTrajectory:
         assert [s.k for s in states] == list(range(T))
         assert_close_to_scale(trajectory(states), plain_filter(sol, y, x0), 1e-12)
 
-    @pytest.mark.parametrize("T", [L + 1, 2000])
+    def test_wide_plant(self, monkeypatch):
+        # the random dense plant is observable and controllable; skip the
+        # Krylov rank checks, which take seconds at n = 256
+        monkeypatch.setattr("dpkalman.linalg.observability_check", lambda *a: True)
+        monkeypatch.setattr("dpkalman.linalg.controllability_check", lambda *a: True)
+        self.test_matches_plain_recursion(256, 256, 2000)
+
+    @pytest.mark.parametrize("T", [L + 1, 2 * L + 1, 2000])
     def test_slow_plant(self, T):
         sol = slow_scalar_solution()
         assert 0.99 < abs(sol.F_t[0, 0]) < 1.0
@@ -230,6 +241,26 @@ class TestWholeTrajectory:
             for arr in (state.x_hat, state.x_hat_prior):
                 with pytest.raises(ValueError):
                     arr[0] = 1.0
+
+    def test_arrays_are_the_steps(self):
+        sol = dense_solution(5, 2)
+        traj = run_filter(sol, np.ones((2 * self.L + 1, 2)), sol.system.x0_hat)
+        assert isinstance(traj, FilterTrajectory)
+        for arr, want in zip((traj.x_hat_prior, traj.x_hat), trajectory(traj)):
+            assert arr.shape == (2 * self.L + 1, 5)
+            assert arr.flags.c_contiguous and not arr.flags.writeable
+            np.testing.assert_array_equal(arr, want)
+
+    @pytest.mark.parametrize("T", [1, L + 3])
+    def test_sequence_of_steps(self, T):
+        traj = run_filter(dense_solution(5, 2), np.ones((T, 2)), np.zeros(5))
+        assert len(traj) == T
+        assert [s.k for s in traj] == list(range(T))
+        assert traj[-1].k == T - 1
+        assert [s.k for s in traj[:2]] == list(range(min(2, T)))
+        assert traj[0] is traj[0]  # the per-step records are built once
+        with pytest.raises(IndexError):
+            traj[T]
 
     @pytest.mark.parametrize("N", [1, 17, 1000])
     def test_prefix_agrees_with_longer_run(self, N):

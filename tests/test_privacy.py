@@ -17,6 +17,7 @@ from dpkalman import (
     sensitivity_bound,
 )
 from dpkalman.privacy import noise_scales
+from dpkalman.rng import STREAM_PRIVACY, gaussian_generator
 from helpers import case_study_system
 
 LN3 = math.log(3.0)
@@ -202,6 +203,18 @@ class TestPrivatize:
         centered = noise - noise.mean()
         rho = (centered[:-1] * centered[1:]).mean() / centered.var()
         assert abs(rho) <= 0.01
+
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_adds_scaled_privacy_stream(self, j):
+        # the noise is scaled and added in place; the caller's y is only read
+        y = np.random.default_rng(1).normal(scale=50.0, size=(40, 3))
+        before = y.copy()
+        sigma = np.array([0.5, 2.0, 7.0])
+        out = privatize(y, sigma, rng_seed=11, stream_index=j)
+        z = gaussian_generator(11, trial=j, stream=STREAM_PRIVACY).standard_normal(y.shape)
+        assert np.array_equal(out, y + z * sigma)
+        assert np.array_equal(y, before)
+        assert out is not y
 
     def test_rejects_negative_sigma(self):
         with pytest.raises(NonPositiveSigmaError):

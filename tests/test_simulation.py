@@ -158,9 +158,9 @@ class TestFilterWiring:
         x[0] = system.x0_hat
         for k in range(T - 1):
             x[k + 1] = system.H @ x[k] + w[k]
-        states = run_filter(res.solution, x @ system.C.T + v, system.x0_hat)
-        prior = np.array([((x[k] - s.x_hat_prior) ** 2).sum() for k, s in enumerate(states)])
-        post = np.array([((x[k] - s.x_hat) ** 2).sum() for k, s in enumerate(states)])
+        traj = run_filter(res.solution, x @ system.C.T + v, system.x0_hat)
+        prior = ((x - traj.x_hat_prior) ** 2).sum(axis=1)
+        post = ((x - traj.x_hat) ** 2).sum(axis=1)
         np.testing.assert_allclose(res.sq_err_prior[0], prior, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(res.sq_err_post[0], post, rtol=1e-12, atol=1e-12)
 
@@ -219,9 +219,9 @@ class TestFilterWiring:
         x[0] = system.x0_hat
         for k in range(T - 1):
             x[k + 1] = system.H @ x[k] + w[k]
-        states = run_filter(res.solution, x @ system.C.T + v, system.x0_hat)
-        prior = np.array([((x[k] - s.x_hat_prior) ** 2).sum() for k, s in enumerate(states)])
-        post = np.array([((x[k] - s.x_hat) ** 2).sum() for k, s in enumerate(states)])
+        traj = run_filter(res.solution, x @ system.C.T + v, system.x0_hat)
+        prior = ((x - traj.x_hat_prior) ** 2).sum(axis=1)
+        post = ((x - traj.x_hat) ** 2).sum(axis=1)
         np.testing.assert_allclose(res.sq_err_prior[trial], prior, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(res.sq_err_post[trial], post, rtol=1e-12, atol=1e-12)
 
@@ -307,3 +307,18 @@ class TestEdges:
             case_config(trials=0)
         with pytest.raises(ValidationError):
             case_config(horizon=0)
+
+    @pytest.mark.parametrize("field,key", [("trials", "trials"), ("horizon_T", "horizon")])
+    @pytest.mark.parametrize("size", [2**62, 10**30])
+    @pytest.mark.parametrize("paths", [True, False])
+    def test_unallocatable_size_rejected(self, field, key, size, paths):
+        # 10**30 is refused by the config, 2**62 by numpy at simulate's
+        # first allocation; neither allocates anything
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match=field):
+                simulate(case_config(**{"trials": 3, "horizon": 20, key: size}), paths=paths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
