@@ -7,6 +7,7 @@ validation so instances are safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,9 +197,24 @@ def _require_invertible_spd(M: np.ndarray, name: str) -> None:
 
 
 def _posterior(sigma: np.ndarray, info: np.ndarray) -> np.ndarray:
-    # (sigma^-1 + info)^-1 with info = C^T V^-1 C, not symmetrized.
-    eye = np.eye(sigma.shape[0])
-    return np.linalg.solve(np.linalg.solve(sigma, eye) + info, eye)
+    # (sigma^-1 + info)^-1 with info = C^T V^-1 C, not symmetrized; inv runs
+    # the same LAPACK gesv on the identity as solve(., eye)
+    return np.linalg.inv(np.linalg.inv(sigma) + info)
+
+
+def _frobenius(x: np.ndarray) -> float:
+    # np.linalg.norm(x) without its dispatch: the same ravel, dot and sqrt
+    r = x.ravel(order="K")
+    return math.sqrt(r.dot(r))
+
+
+def _riccati_pass(sigma, info, H, Ht, W) -> tuple[np.ndarray, np.ndarray, float]:
+    # One fixed-point map of sigma: the posterior inner, the symmetrized
+    # H inner H^T + W, and |map(sigma) - sigma|_F, the numerator of sigma's
+    # residual.
+    inner = _posterior(sigma, info)
+    nxt = symmetrize(H @ inner @ Ht + W)
+    return inner, nxt, _frobenius(nxt - sigma)
 
 
 def posterior_covariance(sigma, C, V) -> np.ndarray:
@@ -243,21 +259,20 @@ def solve_dare(system: SystemModel, V) -> RiccatiSolution:
     _require_invertible_spd(V, "V")
 
     H, W = system.H, system.W
+    Ht = H.T
     info = system.C.T @ np.linalg.solve(V, system.C)
     tiny = np.finfo(float).tiny
     sigma = W
-    sigma_norm = max(float(np.linalg.norm(sigma)), tiny)
+    sigma_norm = max(_frobenius(sigma), tiny)
     change = np.inf  # the start has no predecessor
     # pass k maps sigma_k once: |nxt - sigma_k| over |sigma_k| is sigma_k's
     # residual, and over |nxt| it is the change of sigma_(k+1)
     for iterations in range(DARE_MAX_ITERATIONS + 1):
-        inner = _posterior(sigma, info)
-        nxt = symmetrize(H @ inner @ H.T + W)
-        step = float(np.linalg.norm(nxt - sigma))
+        inner, nxt, step = _riccati_pass(sigma, info, H, Ht, W)
         residual = step / sigma_norm
         if change < DARE_CHANGE_TOL and residual <= DARE_RESIDUAL_TOL:
             break
-        sigma_norm = max(float(np.linalg.norm(nxt)), tiny)
+        sigma_norm = max(_frobenius(nxt), tiny)
         change = step / sigma_norm
         sigma = nxt
     else:

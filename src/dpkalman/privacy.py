@@ -81,6 +81,12 @@ def noise_scales(system, epsilon: float, delta: float, adjacency_B: float,
     :func:`meets_minimum` against that minimal scale.
     """
     minimal = gaussian_sigma(epsilon, delta, sensitivity_bound(system.C, adjacency_B))
+    vec = _scales(system, minimal, sigma)
+    return vec, meets_minimum(vec, minimal)
+
+
+def _scales(system, minimal: float, sigma) -> np.ndarray:
+    # the scale vector of noise_scales, given its minimal scale
     if sigma is None:
         sigma = minimal
     if np.ndim(sigma) == 0:
@@ -88,7 +94,7 @@ def noise_scales(system, epsilon: float, delta: float, adjacency_B: float,
     vec = as_vector(sigma, "sigma", length=system.q)
     if np.any(vec < 0.0):
         raise NonPositiveSigmaError("noise scales must be nonnegative")
-    return vec, meets_minimum(vec, minimal)
+    return vec
 
 
 def privatize(y, sigma, rng_seed: int, *, stream_index: int = 0) -> np.ndarray:
@@ -149,6 +155,7 @@ class PrivacyConfig:
     def for_system(cls, system, epsilon: float, delta: float, adjacency_B: float,
                    sigma=None) -> "PrivacyConfig":
         """Build a config for ``system`` with the scales of :func:`noise_scales`."""
-        vec, _ = noise_scales(system, epsilon, delta, adjacency_B, sigma)
+        sensitivity = sensitivity_bound(system.C, adjacency_B)
+        vec = _scales(system, gaussian_sigma(epsilon, delta, sensitivity), sigma)
         return cls(epsilon=epsilon, delta=delta, adjacency_B=adjacency_B,
-                   sensitivity=sensitivity_bound(system.C, adjacency_B), sigma=vec)
+                   sensitivity=sensitivity, sigma=vec)

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 
@@ -71,9 +70,12 @@ class SimulationConfig:
     x0_cov: np.ndarray | None = None
 
     def __post_init__(self):
+        # sizes are ints by config._integer's rule (a bool is not one), and
         # sizes above sys.maxsize cannot index an array
         for name in ("horizon_T", "trials"):
             value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValidationError(f"{name} must be >= 1, got {value}")
             if value > sys.maxsize:
@@ -238,6 +240,10 @@ def simulate(config: SimulationConfig, *, threads: int = 1, paths: bool = True) 
     if len(spans) == 1:
         _run_trials(0, trials, *args)
     else:
+        # imported here: concurrent.futures pulls in logging, which no
+        # single-span run needs
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=len(spans)) as pool:
             futures = [pool.submit(_run_trials, lo, hi, *args) for lo, hi in spans]
             for f in futures:

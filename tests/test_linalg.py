@@ -138,6 +138,49 @@ class TestSolveDare:
         with pytest.raises(NoConvergenceError, match=r"within 50 iterations \(residual \d\.\d{3}e-\d+\)"):
             solve_dare(system, V)
 
+    @pytest.mark.parametrize("epsilon,iterations", [(math.log(3.0), 14), (1e-3, 514)])
+    def test_case_study_iteration_count(self, epsilon, iterations):
+        # the fixed-point counts of the case study at the paper's epsilon and
+        # at strong privacy
+        sigma = PrivacyConfig.for_system(case_study_system(), epsilon=epsilon, delta=1e-3,
+                                         adjacency_B=1.0).sigma
+        assert solve_dare(case_study_system(), np.diag(sigma**2)).iterations == iterations
+
+    @pytest.mark.parametrize("plant", ["case_study", "slow_scalar", "dense12"])
+    @pytest.mark.parametrize("epsilon", [1.0, 0.1, 1e-3])
+    def test_matches_plain_fixed_point(self, plant, epsilon):
+        # reference: the docstring's map with solve(., eye) and np.linalg.norm;
+        # solve_dare must reproduce its iterates bit for bit
+        if plant == "dense12":
+            rng = np.random.default_rng(12)
+            H = rng.normal(size=(12, 12))
+            body = rng.normal(size=(12, 12))
+            system = SystemModel(H=0.9 * H / np.max(np.abs(np.linalg.eigvals(H))), C=np.eye(12),
+                                 W=body @ body.T / 12 + np.eye(12), x0_hat=np.zeros(12))
+        else:
+            system = {"case_study": case_study_system(),
+                      "slow_scalar": SystemModel(H=[[0.999]], C=[[1.0]], W=[[0.01]], x0_hat=[0.0])}[plant]
+        V = np.diag(PrivacyConfig.for_system(system, epsilon=epsilon, delta=1e-3, adjacency_B=1.0).sigma**2)
+        H, C, W = system.H, system.C, system.W
+        info = C.T @ np.linalg.solve(V, C)
+        eye = np.eye(system.n)
+        sigma, change, k = W, np.inf, 0
+        while True:
+            inner = np.linalg.solve(np.linalg.solve(sigma, eye) + info, eye)
+            image = H @ inner @ H.T + W
+            image = 0.5 * (image + image.T)
+            step = float(np.linalg.norm(image - sigma))
+            residual = step / float(np.linalg.norm(sigma))
+            if change < 1e-12 and residual <= 1e-10:
+                break
+            change = step / float(np.linalg.norm(image))
+            sigma, k = image, k + 1
+        ric = solve_dare(system, V)
+        assert (ric.iterations, ric.residual) == (k, residual)
+        assert np.array_equal(ric.sigma, sigma)
+        assert np.array_equal(ric.sigma_bar, 0.5 * (inner + inner.T))
+        assert np.array_equal(ric.gain, np.linalg.solve(V, C @ ric.sigma_bar).T)
+
     @pytest.mark.parametrize("seed", range(12))
     def test_residual_dominance_and_scipy_agreement(self, seed):
         rng = np.random.default_rng(1000 + seed)

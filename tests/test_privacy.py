@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+import dpkalman.privacy
 from dpkalman import (
     NonPositiveSigmaError,
     OutOfDomainError,
@@ -251,6 +252,20 @@ class TestPrivacyConfig:
         kwargs[field] = value
         with pytest.raises(OutOfDomainError):
             PrivacyConfig(**kwargs)
+
+    def test_sensitivity_computed_once(self, monkeypatch):
+        calls = []
+        bound = dpkalman.privacy.sensitivity_bound
+
+        def counted(C, adjacency_B):
+            calls.append(1)
+            return bound(C, adjacency_B)
+
+        monkeypatch.setattr(dpkalman.privacy, "sensitivity_bound", counted)
+        cfg = PrivacyConfig.for_system(case_study_system(), epsilon=LN3, delta=0.001, adjacency_B=1.0)
+        assert len(calls) == 1
+        assert cfg.sensitivity == bound(case_study_system().C, 1.0)
+        assert np.array_equal(cfg.sigma, noise_scales(case_study_system(), LN3, 0.001, 1.0)[0])
 
     def test_oversized_scales_allowed(self):
         system = case_study_system()

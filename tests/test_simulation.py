@@ -308,6 +308,13 @@ class TestEdges:
         with pytest.raises(ValidationError):
             case_config(horizon=0)
 
+    @pytest.mark.parametrize("field,key,value", [("trials", "trials", 2.5), ("horizon_T", "horizon", 3.0),
+                                                 ("trials", "trials", True)])
+    def test_non_integer_size_rejected(self, field, key, value):
+        # the rule of the config file's integers: bool is not a size
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            case_config(**{key: value})
+
     @pytest.mark.parametrize("field,key", [("trials", "trials"), ("horizon_T", "horizon")])
     @pytest.mark.parametrize("size", [2**62, 10**30])
     @pytest.mark.parametrize("paths", [True, False])
