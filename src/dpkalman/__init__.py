@@ -5,6 +5,10 @@ steady-state filter any recipient of the privatized stream would run,
 evaluate analytic bounds on that recipient's error and entropy, invert the
 bounds to select privacy levels, and validate everything by seeded Monte
 Carlo simulation.
+
+``__all__`` holds the public names the README lists under "Public API";
+everything else (result types, error subclasses, matrix helpers) is imported
+from its own module, e.g. ``dpkalman.errors`` or ``dpkalman.linalg``.
 """
 
 from .bounds import (
@@ -12,122 +16,36 @@ from .bounds import (
     APOSTERIORI_TRACE,
     APRIORI_LOGDET,
     APRIORI_TRACE,
-    BoundReport,
-    ChannelExtremes,
     all_bounds,
     aposteriori_logdet_bounds,
     aposteriori_trace_bounds,
     apriori_logdet_bounds,
     apriori_trace_bounds,
-    channel_extremes,
-    differential_entropy,
 )
-from .calibration import (
-    APOSTERIORI,
-    APRIORI,
-    CalibrationTarget,
-    CalibrationVerification,
-    EpsilonInterval,
-    calibrate_aposteriori,
-    calibrate_apriori,
-    verify_calibration,
-)
-from .config import (
-    Config,
-    build_agents,
-    build_privacy,
-    load_config,
-    loads_config,
-)
-from .errors import (
-    ConfigError,
-    DegenerateSystemError,
-    DimensionMismatchError,
-    DPKalmanError,
-    EmptyNetworkError,
-    FactorizationError,
-    InvalidTargetError,
-    NoConvergenceError,
-    NonPositiveSigmaError,
-    NonSymmetricError,
-    NotDetectableError,
-    NotDiagonalError,
-    NotPositiveDefiniteError,
-    NumericalError,
-    OutOfDomainError,
-    SingularMatrixError,
-    ValidationError,
-)
-from .filtering import FilterSolution, FilterState, FilterTrajectory, run_filter, solve_filter
-from .linalg import (
-    RiccatiSolution,
-    SystemModel,
-    block_diag,
-    controllability_check,
-    observability_check,
-    posterior_covariance,
-    singular_values,
-    solve_dare,
-    symmetric_factor,
-)
-from .network import AgentSpec, NetworkModel, compose, per_agent_slices
-from .privacy import (
-    PrivacyConfig,
-    gaussian_sigma,
-    privatize,
-    q_function,
-    q_inverse,
-    sensitivity_bound,
-)
-from .simulation import (
-    SimulationConfig,
-    SimulationResult,
-    SimulationSummary,
-    simulate,
-    write_csv,
-)
+from .calibration import CalibrationTarget, calibrate_aposteriori, calibrate_apriori, verify_calibration
+from .config import build_agents, build_privacy, load_config
+from .errors import DPKalmanError, NumericalError, ValidationError
+from .filtering import FilterState, FilterTrajectory, run_filter, solve_filter
+from .linalg import SystemModel, solve_dare
+from .network import AgentSpec, compose, per_agent_slices
+from .privacy import PrivacyConfig, privatize
+from .simulation import SimulationConfig, simulate, write_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "APOSTERIORI",
     "APOSTERIORI_LOGDET",
     "APOSTERIORI_TRACE",
-    "APRIORI",
     "APRIORI_LOGDET",
     "APRIORI_TRACE",
     "AgentSpec",
-    "BoundReport",
     "CalibrationTarget",
-    "CalibrationVerification",
-    "ChannelExtremes",
-    "Config",
-    "ConfigError",
     "DPKalmanError",
-    "DegenerateSystemError",
-    "DimensionMismatchError",
-    "EmptyNetworkError",
-    "EpsilonInterval",
-    "FactorizationError",
-    "FilterSolution",
     "FilterState",
     "FilterTrajectory",
-    "InvalidTargetError",
-    "NetworkModel",
-    "NoConvergenceError",
-    "NonPositiveSigmaError",
-    "NonSymmetricError",
-    "NotDetectableError",
-    "NotDiagonalError",
-    "NotPositiveDefiniteError",
     "NumericalError",
-    "OutOfDomainError",
     "PrivacyConfig",
-    "RiccatiSolution",
     "SimulationConfig",
-    "SimulationResult",
-    "SimulationSummary",
-    "SingularMatrixError",
     "SystemModel",
     "ValidationError",
     "all_bounds",
@@ -135,31 +53,18 @@ __all__ = [
     "aposteriori_trace_bounds",
     "apriori_logdet_bounds",
     "apriori_trace_bounds",
-    "block_diag",
     "build_agents",
     "build_privacy",
     "calibrate_aposteriori",
     "calibrate_apriori",
-    "channel_extremes",
     "compose",
-    "controllability_check",
-    "differential_entropy",
-    "gaussian_sigma",
     "load_config",
-    "loads_config",
-    "observability_check",
     "per_agent_slices",
-    "posterior_covariance",
     "privatize",
-    "q_function",
-    "q_inverse",
     "run_filter",
-    "sensitivity_bound",
     "simulate",
-    "singular_values",
     "solve_dare",
     "solve_filter",
-    "symmetric_factor",
     "verify_calibration",
     "write_csv",
 ]

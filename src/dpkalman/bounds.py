@@ -18,14 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NonPositiveSigmaError,
-    NonSymmetricError,
-    NotDiagonalError,
-    NotPositiveDefiniteError,
-)
-from .linalg import SystemModel, as_matrix, as_vector, require_symmetric, singular_values
+from .errors import NonPositiveSigmaError, NotDiagonalError
+from .linalg import SystemModel, as_matrix, as_vector, singular_values
 
 DIAGONALITY_RTOL = 1e-12
 
@@ -227,21 +221,3 @@ def all_bounds(system: SystemModel, sigma) -> dict[str, BoundReport]:
         APRIORI_LOGDET: apriori_logdet_bounds(system, sigma),
         APOSTERIORI_LOGDET: aposteriori_logdet_bounds(system, sigma),
     }
-
-
-def differential_entropy(cov) -> float:
-    """Differential entropy of a Gaussian with covariance ``cov``:
-    (n/2) ln(2 pi e) + (1/2) ln det cov."""
-    cov = as_matrix(cov, "cov")
-    try:
-        cov = require_symmetric(cov, "cov")
-    except (NonSymmetricError, DimensionMismatchError) as exc:
-        raise NotPositiveDefiniteError(f"covariance must be symmetric positive definite: {exc}")
-    w = np.linalg.eigvalsh(cov)
-    if w[0] <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"covariance must be positive definite; smallest eigenvalue is {w[0]:.3e}"
-        )
-    n = cov.shape[0]
-    _, logdet = np.linalg.slogdet(cov)
-    return 0.5 * n * math.log(2.0 * math.pi * math.e) + 0.5 * float(logdet)

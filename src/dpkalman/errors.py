@@ -37,15 +37,11 @@ class OutOfDomainError(ValidationError):
 
 
 class NotDetectableError(ValidationError):
-    """The system fails the observability/controllability preconditions."""
+    """The pair (H, C) fails the observability precondition of the steady state."""
 
 
 class FactorizationError(ValidationError):
     """A covariance factorization failed (negative eigenvalue)."""
-
-
-class NotPositiveDefiniteError(ValidationError):
-    """A matrix required to be symmetric positive definite is not."""
 
 
 class InvalidTargetError(ValidationError):

@@ -52,6 +52,13 @@ def as_vector(value, name: str = "vector", length: int | None = None) -> np.ndar
     return arr
 
 
+def _as_int(value, name: str) -> int:
+    # a Python int, not a bool or a float (the rule of config._integer)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def symmetrize(S: np.ndarray) -> np.ndarray:
     return 0.5 * (S + S.T)
 
@@ -101,7 +108,11 @@ def symmetric_factor(W) -> np.ndarray:
 
 
 def controllability_check(H, W) -> bool:
-    """True iff [D, HD, ..., H^(n-1)D] has numerical rank n, where W = D D^T."""
+    """True iff [D, HD, ..., H^(n-1)D] has numerical rank n, where W = D D^T.
+
+    ``solve_dare`` does not call it: ``SystemModel`` requires W positive
+    definite, which makes every pair (H, D) controllable.
+    """
     H = as_matrix(H, "H")
     D = symmetric_factor(W)
     n = H.shape[0]
@@ -217,25 +228,6 @@ def _riccati_pass(sigma, info, H, Ht, W) -> tuple[np.ndarray, np.ndarray, float]
     return inner, nxt, _frobenius(nxt - sigma)
 
 
-def posterior_covariance(sigma, C, V) -> np.ndarray:
-    """Estimation error covariance (C^T V^-1 C + sigma^-1)^-1.
-
-    ``sigma`` must be symmetric and numerically invertible; ``V`` symmetric
-    positive definite.
-    """
-    sigma = require_symmetric(as_matrix(sigma, "sigma"), "sigma")
-    C = as_matrix(C, "C")
-    V = require_symmetric(as_matrix(V, "V"), "V")
-    n = sigma.shape[0]
-    if C.shape[1] != n or V.shape[0] != C.shape[0]:
-        raise DimensionMismatchError(
-            f"inconsistent shapes sigma {sigma.shape}, C {C.shape}, V {V.shape}"
-        )
-    _require_invertible_spd(sigma, "sigma")
-    _require_invertible_spd(V, "V")
-    return symmetrize(_posterior(sigma, C.T @ np.linalg.solve(V, C)))
-
-
 def solve_dare(system: SystemModel, V) -> RiccatiSolution:
     """Solve the steady-state Riccati fixed point for noise covariance ``V``.
 
@@ -252,10 +244,6 @@ def solve_dare(system: SystemModel, V) -> RiccatiSolution:
         raise DimensionMismatchError(f"V must be {system.q}x{system.q}, got shape {V.shape}")
     if not observability_check(system.H, system.C):
         raise NotDetectableError("the pair (H, C) is not observable; the filter has no steady state")
-    if not controllability_check(system.H, system.W):
-        raise NotDetectableError(
-            "the pair (H, D) with W = D D^T is not controllable; the solution may not be unique"
-        )
     _require_invertible_spd(V, "V")
 
     H, W = system.H, system.W

@@ -18,25 +18,16 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import NonPositiveSigmaError, OutOfDomainError, ValidationError
-from .linalg import as_matrix, as_vector, singular_values
+from .linalg import _as_int, as_matrix, as_vector, singular_values
 from .rng import STREAM_PRIVACY, gaussian_generator
-
-_SQRT_2 = math.sqrt(2.0)
 
 # Relative undershoot tolerated when a caller supplies noise scales rounded
 # for publication (e.g. to three significant digits).
 SIGMA_ROUNDING_SLACK = 0.005
 
 
-def q_function(y: float) -> float:
-    """Standard normal upper-tail probability P[Z > y]."""
-    if not math.isfinite(y):
-        raise OutOfDomainError(f"q_function requires a finite argument, got {y}")
-    return 0.5 * math.erfc(y / _SQRT_2)
-
-
 def q_inverse(delta: float) -> float:
-    """Inverse of :func:`q_function` on (0, 1), the standard normal quantile of 1 - delta."""
+    """The y with P[Z > y] = delta for standard normal Z: the quantile of 1 - delta."""
     if not 0.0 < delta < 1.0:
         raise OutOfDomainError(f"q_inverse requires delta in (0, 1), got {delta}")
     return -NormalDist().inv_cdf(delta)
@@ -113,7 +104,8 @@ def privatize(y, sigma, rng_seed: int, *, stream_index: int = 0) -> np.ndarray:
     sigma = as_vector(sigma, "sigma", length=y.shape[1])
     if np.any(sigma < 0.0):
         raise NonPositiveSigmaError("noise scales must be nonnegative")
-    if stream_index < 0:
+    _as_int(rng_seed, "rng_seed")
+    if _as_int(stream_index, "stream_index") < 0:
         raise OutOfDomainError(f"stream_index must be nonnegative, got {stream_index}")
     noise = gaussian_generator(rng_seed, trial=stream_index, stream=STREAM_PRIVACY).standard_normal(y.shape)
     noise *= sigma

@@ -34,7 +34,7 @@ import numpy as np
 from .bounds import aposteriori_trace_bounds, apriori_trace_bounds
 from .errors import ValidationError
 from .filtering import FilterSolution, solve_filter
-from .linalg import SystemModel, as_matrix, require_symmetric, symmetric_factor
+from .linalg import SystemModel, _as_int, as_matrix, require_symmetric, symmetric_factor
 from .network import NetworkModel
 from .privacy import PrivacyConfig
 from .rng import STREAM_INIT, STREAM_PRIVACY, STREAM_PROCESS, gaussian_generator
@@ -70,12 +70,10 @@ class SimulationConfig:
     x0_cov: np.ndarray | None = None
 
     def __post_init__(self):
-        # sizes are ints by config._integer's rule (a bool is not one), and
-        # sizes above sys.maxsize cannot index an array
+        # sizes above sys.maxsize cannot index an array; the seed is taken mod 2**64
+        _as_int(self.seed, "seed")
         for name in ("horizon_T", "trials"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            value = _as_int(getattr(self, name), name)
             if value < 1:
                 raise ValidationError(f"{name} must be >= 1, got {value}")
             if value > sys.maxsize:

@@ -5,8 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from dpkalman import (
-    APOSTERIORI,
-    APRIORI,
     CalibrationTarget,
     SystemModel,
     calibrate_aposteriori,
@@ -14,6 +12,7 @@ from dpkalman import (
     run_filter,
     solve_filter,
 )
+from dpkalman.calibration import APOSTERIORI, APRIORI
 
 CASE_H = np.array([[1.0, 1.0], [0.0, 1.0]])
 CASE_C = np.eye(2)

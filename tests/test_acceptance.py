@@ -10,8 +10,6 @@ import numpy as np
 import pytest
 
 from dpkalman import (
-    APOSTERIORI,
-    APRIORI,
     CalibrationTarget,
     PrivacyConfig,
     SimulationConfig,
@@ -19,15 +17,16 @@ from dpkalman import (
     aposteriori_trace_bounds,
     apriori_logdet_bounds,
     apriori_trace_bounds,
-    block_diag,
     calibrate_apriori,
     compose,
-    gaussian_sigma,
     simulate,
     solve_dare,
     verify_calibration,
 )
+from dpkalman.calibration import APOSTERIORI, APRIORI
 from dpkalman.cli import main
+from dpkalman.linalg import block_diag
+from dpkalman.privacy import gaussian_sigma
 from helpers import case_study_system, random_diagonal_system, random_feasible_pair
 from test_network import random_agent
 

@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 
 from dpkalman import (
-    NonPositiveSigmaError,
-    NotDiagonalError,
-    NotPositiveDefiniteError,
     SystemModel,
     aposteriori_logdet_bounds,
     aposteriori_trace_bounds,
     apriori_logdet_bounds,
     apriori_trace_bounds,
-    channel_extremes,
-    differential_entropy,
     solve_dare,
 )
+from dpkalman.bounds import channel_extremes
+from dpkalman.errors import NonPositiveSigmaError, NotDiagonalError
 from helpers import case_study_system, random_diagonal_system
 
 SIGMA_CASE = 2.966281680892255
@@ -191,32 +188,3 @@ class TestContainmentProperties:
             scaled = aposteriori_trace_bounds(system, t * sigma)
             assert scaled.upper > base.upper
             assert scaled.lower >= base.lower - 1e-12
-
-    def test_entropy_consistent_with_logdet_window(self):
-        system = case_study_system()
-        sigma = np.full(2, SIGMA_CASE)
-        ric = solve_dare(system, np.diag(sigma**2))
-        rep = aposteriori_logdet_bounds(system, sigma)
-        h = differential_entropy(ric.sigma_bar)
-        const = 0.5 * 2 * math.log(2.0 * math.pi * math.e)
-        assert const + 0.5 * rep.lower <= h <= const + 0.5 * rep.upper
-
-
-class TestDifferentialEntropy:
-    def test_identity(self):
-        assert differential_entropy(np.eye(2)) == pytest.approx(math.log(2.0 * math.pi * math.e), abs=1e-12)
-
-    def test_scalar_unit_variance(self):
-        assert differential_entropy([[1.0]]) == pytest.approx(0.5 * math.log(2.0 * math.pi * math.e), abs=1e-12)
-
-    def test_diagonal(self):
-        expected = math.log(2.0 * math.pi * math.e) + 0.5 * math.log(16.0)
-        assert differential_entropy(np.diag([2.0, 8.0])) == pytest.approx(expected, abs=1e-12)
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            differential_entropy(np.diag([1.0, -1.0]))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            differential_entropy(np.array([[1.0, 0.2], [0.0, 1.0]]))

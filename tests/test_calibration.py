@@ -3,15 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dpkalman import (
-    APOSTERIORI,
-    APRIORI,
-    CalibrationTarget,
-    InvalidTargetError,
-    calibrate_aposteriori,
-    calibrate_apriori,
-    verify_calibration,
-)
+from dpkalman import CalibrationTarget, calibrate_aposteriori, calibrate_apriori, verify_calibration
+from dpkalman.calibration import APOSTERIORI, APRIORI
+from dpkalman.errors import InvalidTargetError
 from helpers import case_study_system, random_feasible_pair
 
 

@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 import dpkalman
-from dpkalman import loads_config
 from dpkalman.cli import main
-from dpkalman.config import CalibrationSpec, PrivacySpec, SimulationSpec
+from dpkalman.config import CalibrationSpec, PrivacySpec, SimulationSpec, loads_config
 
 LN3 = math.log(3.0)
 

@@ -7,22 +7,20 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_discrete_are
 
 import dpkalman.linalg
-from dpkalman import (
+from dpkalman import PrivacyConfig, SystemModel, ValidationError, solve_dare
+from dpkalman.errors import (
     DimensionMismatchError,
     FactorizationError,
     NoConvergenceError,
     NonSymmetricError,
     NotDetectableError,
-    PrivacyConfig,
     SingularMatrixError,
-    SystemModel,
-    ValidationError,
+)
+from dpkalman.linalg import (
     block_diag,
     controllability_check,
     observability_check,
-    posterior_covariance,
     singular_values,
-    solve_dare,
     symmetric_factor,
 )
 from helpers import CASE_H, case_study_system, random_diagonal_system
@@ -120,6 +118,14 @@ class TestSolveDare:
         with pytest.raises(NotDetectableError):
             solve_dare(system, np.eye(1))
 
+    def test_nearly_singular_noise_matches_scipy(self):
+        # W positive definite makes (H, W^1/2) controllable however small its
+        # second eigenvalue, so no rank test of that pair may reject the plant
+        system = SystemModel(H=0.5 * np.eye(2), C=np.eye(2), W=np.diag([1.0, 1e-22]), x0_hat=np.zeros(2))
+        ric = solve_dare(system, np.eye(2))
+        expected = solve_discrete_are(system.H.T, system.C.T, system.W, np.eye(2))
+        np.testing.assert_allclose(ric.sigma, expected, rtol=1e-7, atol=1e-9)
+
     def test_singular_v_rejected(self):
         with pytest.raises(SingularMatrixError):
             solve_dare(case_study_system(), np.diag([1.0, 0.0]))
@@ -197,8 +203,12 @@ class TestSolveDare:
         image = 0.5 * (image + image.T)
         recomputed = np.linalg.norm(image - S) / np.linalg.norm(S)
         assert ric.residual == pytest.approx(recomputed, rel=1e-12, abs=0.0)
-        # sigma_bar is the posterior of the returned sigma
-        assert np.array_equal(ric.sigma_bar, posterior_covariance(S, C, V))
+        # sigma_bar is the posterior of the returned sigma, in the inverse-sum
+        # form bit for bit and in the subtraction form to rounding
+        inner = np.linalg.inv(np.linalg.inv(S) + C.T @ np.linalg.solve(V, C))
+        assert np.array_equal(ric.sigma_bar, 0.5 * (inner + inner.T))
+        subtraction = S - S @ C.T @ np.linalg.solve(C @ S @ C.T + V, C @ S)
+        assert np.linalg.norm(ric.sigma_bar - subtraction) <= 1e-9 * np.linalg.norm(subtraction)
         # the solution dominates the process noise
         assert np.linalg.eigvalsh(ric.sigma - system.W).min() >= -1e-8
         # estimation never beats prediction in trace
@@ -219,25 +229,27 @@ class TestSolveDare:
 
 
 class TestPosteriorCovariance:
+    # linalg._posterior, the (sigma^-1 + C^T V^-1 C)^-1 of every Riccati pass
+    @staticmethod
+    def posterior(sigma, C, V):
+        sigma, C, V = (np.asarray(a, dtype=float) for a in (sigma, C, V))
+        return dpkalman.linalg._posterior(sigma, C.T @ np.linalg.solve(V, C))
+
     def test_scalar(self):
-        out = posterior_covariance([[1.0]], [[1.0]], [[1.0]])
+        out = self.posterior([[1.0]], [[1.0]], [[1.0]])
         assert out[0, 0] == pytest.approx(0.5)
 
     def test_huge_noise_returns_prior(self):
         rng = np.random.default_rng(5)
         A = rng.normal(size=(3, 3))
         sigma = A @ A.T + np.eye(3)
-        out = posterior_covariance(sigma, np.eye(3), 1e6 * np.eye(3))
+        out = self.posterior(sigma, np.eye(3), 1e6 * np.eye(3))
         rel = np.linalg.norm(out - sigma) / np.linalg.norm(sigma)
         assert rel < 1e-4
 
     def test_hand_computed(self):
-        out = posterior_covariance(2.0 * np.eye(2), np.eye(2), np.eye(2))
+        out = self.posterior(2.0 * np.eye(2), np.eye(2), np.eye(2))
         np.testing.assert_allclose(out, (2.0 / 3.0) * np.eye(2), atol=1e-12)
-
-    def test_singular_sigma_rejected(self):
-        with pytest.raises(SingularMatrixError):
-            posterior_covariance(np.diag([1.0, 0.0]), np.eye(2), np.eye(2))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_two_algebraic_forms_agree(self, seed):
@@ -248,7 +260,7 @@ class TestPosteriorCovariance:
         C = rng.normal(size=(n, n))
         B = rng.normal(size=(n, n))
         V = B @ B.T + 0.5 * np.eye(n)
-        inverse_sum = posterior_covariance(sigma, C, V)
+        inverse_sum = self.posterior(sigma, C, V)
         subtraction = sigma - sigma @ C.T @ np.linalg.solve(C @ sigma @ C.T + V, C @ sigma)
         rel = np.linalg.norm(inverse_sum - subtraction) / np.linalg.norm(subtraction)
         assert rel <= 1e-9
@@ -260,7 +272,7 @@ class TestPosteriorCovariance:
         A = rng.normal(size=(n, n))
         sigma = A @ A.T + 0.5 * np.eye(n)
         C = rng.normal(size=(n, n))
-        out = posterior_covariance(sigma, C, np.eye(n))
+        out = self.posterior(sigma, C, np.eye(n))
         assert np.linalg.eigvalsh(sigma - out).min() >= -1e-9
 
 

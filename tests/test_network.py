@@ -5,19 +5,18 @@ import pytest
 
 from dpkalman import (
     AgentSpec,
-    DimensionMismatchError,
-    EmptyNetworkError,
     PrivacyConfig,
     SystemModel,
     ValidationError,
     aposteriori_trace_bounds,
     apriori_trace_bounds,
-    block_diag,
     compose,
     per_agent_slices,
     solve_dare,
     solve_filter,
 )
+from dpkalman.errors import DimensionMismatchError, EmptyNetworkError
+from dpkalman.linalg import block_diag
 from helpers import case_study_system, random_diagonal_system
 
 LN3 = math.log(3.0)

@@ -3,21 +3,12 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
+from scipy.stats import norm
 
 import dpkalman.privacy
-from dpkalman import (
-    NonPositiveSigmaError,
-    OutOfDomainError,
-    PrivacyConfig,
-    ValidationError,
-    gaussian_sigma,
-    privatize,
-    q_function,
-    q_inverse,
-    sensitivity_bound,
-)
-from dpkalman.privacy import noise_scales
+from dpkalman import PrivacyConfig, ValidationError, privatize
+from dpkalman.errors import NonPositiveSigmaError, OutOfDomainError
+from dpkalman.privacy import gaussian_sigma, noise_scales, q_inverse, sensitivity_bound
 from dpkalman.rng import STREAM_PRIVACY, gaussian_generator
 from helpers import case_study_system
 
@@ -25,32 +16,14 @@ LN3 = math.log(3.0)
 
 
 def q_inverse_bisect(delta, lo=-15.0, hi=15.0):
-    # independent oracle: bisection on the tail probability
+    # independent oracle: bisection on scipy's standard normal tail probability
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if q_function(mid) > delta:
+        if norm.sf(mid) > delta:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-class TestQFunction:
-    def test_symmetry_point(self):
-        assert q_function(0.0) == 0.5
-
-    def test_deep_tail_underflows(self):
-        assert q_function(40.0) < 1e-300
-
-    def test_against_quadrature(self):
-        tail, _ = quad(lambda z: math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi), 1.6449, 50.0)
-        assert q_function(1.6449) == pytest.approx(tail, abs=1e-10)
-        assert q_function(1.6449) == pytest.approx(0.05, abs=1e-4)
-
-    def test_strictly_decreasing(self):
-        ys = np.linspace(-6.0, 6.0, 200)
-        vals = [q_function(y) for y in ys]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
 class TestQInverse:
@@ -68,12 +41,12 @@ class TestQInverse:
 
     def test_round_trip_grid(self):
         for delta in [1e-300, 1e-100, 1e-20, 1e-10, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.2, 0.3, 0.4]:
-            assert abs(q_function(q_inverse(delta)) - delta) <= 1e-11 * delta
+            assert abs(norm.sf(q_inverse(delta)) - delta) <= 1e-11 * delta
 
     @given(st.floats(1e-6, 1.0 - 1e-6))
     @settings(max_examples=200)
     def test_round_trip_property(self, delta):
-        assert abs(q_function(q_inverse(delta)) - delta) <= 1e-11 * delta
+        assert abs(norm.sf(q_inverse(delta)) - delta) <= 1e-11 * delta
 
     def test_tail_quantile_window(self):
         # the calibration regime delta in [1e-5, 1e-1] keeps the quantile within [1, 4.5]
@@ -224,6 +197,14 @@ class TestPrivatize:
     def test_rejects_negative_stream_index(self):
         with pytest.raises(OutOfDomainError, match="stream_index"):
             privatize(np.zeros((3, 1)), np.array([1.0]), rng_seed=0, stream_index=-1)
+
+    @pytest.mark.parametrize("value", [2.5, "x", None, True])
+    @pytest.mark.parametrize("name", ["rng_seed", "stream_index"])
+    def test_rejects_non_integer_seed(self, name, value):
+        # a float would be truncated to another stream's key
+        kwargs = {"rng_seed": 0, "stream_index": 0, name: value}
+        with pytest.raises(ValidationError, match=f"{name} must be an integer"):
+            privatize(np.zeros((3, 1)), np.array([1.0]), **kwargs)
 
 
 class TestPrivacyConfig:

@@ -309,9 +309,12 @@ class TestEdges:
             case_config(horizon=0)
 
     @pytest.mark.parametrize("field,key,value", [("trials", "trials", 2.5), ("horizon_T", "horizon", 3.0),
-                                                 ("trials", "trials", True)])
+                                                 ("trials", "trials", True), ("seed", "seed", 2.5),
+                                                 ("seed", "seed", "x"), ("seed", "seed", None),
+                                                 ("seed", "seed", True)])
     def test_non_integer_size_rejected(self, field, key, value):
-        # the rule of the config file's integers: bool is not a size
+        # the rule of the config file's integers: bool is not a size, and a
+        # float seed would be truncated to another seed's noise
         with pytest.raises(ValidationError, match=f"{field} must be an integer"):
             case_config(**{key: value})
 
