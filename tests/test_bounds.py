@@ -188,3 +188,14 @@ class TestContainmentProperties:
             scaled = aposteriori_trace_bounds(system, t * sigma)
             assert scaled.upper > base.upper
             assert scaled.lower >= base.lower - 1e-12
+
+    def test_entropy_consistent_with_logdet_window(self):
+        system = case_study_system()
+        sigma = np.full(2, SIGMA_CASE)
+        ric = solve_dare(system, np.diag(sigma**2))
+        rep = aposteriori_logdet_bounds(system, sigma)
+        sign, logdet = np.linalg.slogdet(ric.sigma_bar)
+        assert sign > 0
+        const = 0.5 * 2 * math.log(2.0 * math.pi * math.e)
+        h = const + 0.5 * float(logdet)
+        assert const + 0.5 * rep.lower <= h <= const + 0.5 * rep.upper
