@@ -66,7 +66,7 @@ class BoundReport:
             "lower": float(self.lower),
             "upper": None if self.upper is None else json_number(self.upper),
             "applicable": bool(self.applicable),
-            "intermediates": {k: float(v) for k, v in self.intermediates.items()},
+            "intermediates": {k: json_number(v) for k, v in self.intermediates.items()},
         }
 
 
@@ -152,8 +152,9 @@ def apriori_logdet_bounds(system: SystemModel, sigma) -> BoundReport:
     """Bounds on the log-determinant of the prediction error covariance.
 
     The upper bound requires s1(H)^2 < 1 + eta * C_l^2 / sigma_l^2 with
-    eta = s_n(H)^2 * max_i gamma_i + lambda_min(W); the lower bound needs
-    no precondition and is always reported.
+    eta = s_n(H)^2 * max_i gamma_i + lambda_min(W). The lower bound,
+    log(det(H)^2 s0^n + det W) with s0 = sigma_u^2 / (sigma_u^2 / lambda_min(W)
+    + C_u^2), needs no precondition and is always reported.
     """
     ext, lam_min_w, lam_max_w = _common_quantities(system, sigma)
     sigma = as_vector(sigma, "sigma", length=system.n)
@@ -172,7 +173,12 @@ def apriori_logdet_bounds(system: SystemModel, sigma) -> BoundReport:
     lhs = float(s[0] ** 2)
     rhs = 1.0 + eta * cl2 / sl2
     applicable = lhs < rhs
-    lower = math.log(su2 * det_h**2 / (su2 / lam_min_w + cu2 + su2 * math.log(n)) + det_w)
+    # the estimation covariance dominates s0 * I, so with det(A + B) >=
+    # det A + det B for A, B >= 0: det(H Sigma_bar H^T + W) >= det(H)^2 s0^n + det W,
+    # summed in log space so that neither term under- or overflows at large n
+    s0 = su2 / (su2 / lam_min_w + cu2)
+    lower = float(np.logaddexp(2.0 * np.linalg.slogdet(system.H)[1] + n * math.log(s0),
+                               np.linalg.slogdet(system.W)[1]))
     if applicable:
         upper = sl2 * lam_max_w / (sl2 + eta * cl2 - sl2 * lhs) * float(np.sum(s**2)) + tr_w
     else:

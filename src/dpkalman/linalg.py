@@ -30,9 +30,17 @@ DARE_CHANGE_TOL = 1e-12
 DARE_MAX_ITERATIONS = 100_000
 
 
+def _float_array(value, name: str) -> np.ndarray:
+    # strings, ragged nestings and ints beyond float range are not numbers
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} must be an array of numbers: {exc}") from None
+
+
 def as_matrix(value, name: str = "matrix") -> np.ndarray:
     """Copy ``value`` into a finite 2-D float array."""
-    arr = np.array(value, dtype=float)
+    arr = _float_array(value, name)
     if arr.ndim != 2 or arr.size == 0:
         raise DimensionMismatchError(f"{name} must be a nonempty 2-D array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -42,7 +50,7 @@ def as_matrix(value, name: str = "matrix") -> np.ndarray:
 
 def as_vector(value, name: str = "vector", length: int | None = None) -> np.ndarray:
     """Copy ``value`` into a finite 1-D float array, optionally of fixed length."""
-    arr = np.array(value, dtype=float)
+    arr = _float_array(value, name)
     if arr.ndim != 1 or arr.size == 0:
         raise DimensionMismatchError(f"{name} must be a nonempty 1-D array, got shape {arr.shape}")
     if length is not None and arr.shape[0] != length:

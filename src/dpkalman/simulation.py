@@ -16,10 +16,15 @@ of a longer run equal a run of N trials: bit for bit on the case-study plant,
 to a few ulp in general, because a block of fewer trials takes another BLAS
 path for its matrix products and a dense plant rounds differently there.
 
-Each block is reduced to its per-trial means past the burn-in before the next
-block is drawn. ``simulate(..., paths=False)`` keeps only those means, so its
-memory is bounded by one block instead of trials x T; the summary has the same
-bits as with the per-step ``(trials, T)`` paths kept.
+Each span of blocks run by one thread allocates its noise buffers once and
+refills them for every block. Each step's squared errors form one contiguous
+row of the block's trials, and each trial's errors past the burn-in are summed
+in time order as the steps run. The per-step paths are stored time-major and
+returned as ``(trials, T)`` transposed views of that ``(T, trials)`` storage,
+so they are not C-contiguous; ``np.ascontiguousarray`` gives a C-ordered copy.
+``simulate(..., paths=False)`` keeps only the per-trial means, so its memory is
+bounded by one block's noise instead of trials x T; the summary has the same
+bits as with the paths kept.
 """
 
 from __future__ import annotations
@@ -78,6 +83,10 @@ class SimulationConfig:
                 raise ValidationError(f"{name} must be >= 1, got {value}")
             if value > sys.maxsize:
                 raise ValidationError(f"{name} must be <= {sys.maxsize}, got {value}")
+        if not isinstance(self.system, (SystemModel, NetworkModel)):
+            raise ValidationError(f"system must be a SystemModel or NetworkModel, got {type(self.system).__name__}")
+        if not isinstance(self.privacy, (PrivacyConfig, type(None))):
+            raise ValidationError(f"privacy must be a PrivacyConfig or None, got {type(self.privacy).__name__}")
         if isinstance(self.system, NetworkModel):
             if self.privacy is not None:
                 raise ValidationError("a network carries per-agent privacy; top-level privacy must be None")
@@ -125,7 +134,10 @@ class SimulationSummary:
 class SimulationResult:
     """Per-step squared errors, (trials, T) arrays, plus bounds and summary.
 
-    The arrays are ``None`` when :func:`simulate` ran with ``paths=False``.
+    The arrays are transposed views of time-major ``(T, trials)`` storage, so
+    row i (trial i) is strided and the arrays are not C-contiguous;
+    ``np.ascontiguousarray`` gives a C-ordered copy. They are ``None`` when
+    :func:`simulate` ran with ``paths=False``.
     """
 
     sq_err_prior: np.ndarray | None
@@ -166,44 +178,57 @@ def _run_trials(lo: int, hi: int, sol: FilterSolution, sigma_row: np.ndarray, se
     # per-trial means past the burn-in into rows [lo, hi) of the mean
     # vectors. lo is a multiple of NOISE_BLOCK and so is hi unless it is the
     # trial count, so no block is split between calls. sigma_row holds the
-    # noise scales repeated for every step. The squared errors go straight
-    # into the rows of the output arrays when given, else into one block
-    # buffer per error that each block overwrites.
+    # noise scales repeated for every step. The noise buffers are allocated
+    # once per call and refilled by every block. Each step's squared errors
+    # form one contiguous row of the block's trials: row k of the time-major
+    # (T, trials) output arrays when given, else one reused row per error.
     system = sol.system
     A_t, H_t, K_t = sol.A_t, sol.H_t, sol.K_t
     n, q = system.n, system.q
     chol_w_t = np.ascontiguousarray(np.linalg.cholesky(system.W).T)
+    size = min(NOISE_BLOCK, hi - lo)
+    w_buf, v_buf = np.empty((size, T, n)), np.empty((size, T * q))
     if out_prior is None:
-        size = min(NOISE_BLOCK, hi - lo)
-        buf_prior, buf_post = np.empty((size, T)), np.empty((size, T))
+        step_prior, step_post = np.empty(size), np.empty(size)
     for start in range(lo, hi, NOISE_BLOCK):
         stop = min(start + NOISE_BLOCK, hi)
         m, block = stop - start, start // NOISE_BLOCK
-        if out_prior is None:
-            rows_prior, rows_post = buf_prior[:m], buf_post[:m]
-        else:
-            rows_prior, rows_post = out_prior[start:stop], out_post[start:stop]
-        w = gaussian_generator(seed, trial=block, stream=STREAM_PROCESS).standard_normal((m, T, n))
+        # filling the first m rows in C order draws the same values as
+        # standard_normal((m, T, n)) and standard_normal((m, T * q))
+        w = w_buf[:m]
+        gaussian_generator(seed, trial=block, stream=STREAM_PROCESS).standard_normal(out=w)
         # drawn as (m, T * q) and scaled there: the same products as scaling
         # the (m, T, q) array by sigma, but several times faster at small q
         # than broadcasting over a last axis of length q
-        v = gaussian_generator(seed, trial=block, stream=STREAM_PRIVACY).standard_normal((m, T * q))
+        v = v_buf[:m]
+        gaussian_generator(seed, trial=block, stream=STREAM_PRIVACY).standard_normal(out=v)
         v *= sigma_row
         v = v.reshape(m, T, q)
         if x0_factor is None:
             e = np.zeros((m, n))
         else:
             e = gaussian_generator(seed, trial=block, stream=STREAM_INIT).standard_normal((m, n)) @ x0_factor.T
+        if out_prior is None:
+            sq_prior, sq_post = step_prior[:m], step_post[:m]
+        # per-trial sums past the burn-in, added in time order whether or
+        # not the paths are kept, so both give the same bits
+        sum_prior, sum_post = mean_prior[start:stop], mean_post[start:stop]
+        sum_prior[:] = 0.0
+        sum_post[:] = 0.0
         for k in range(T):
+            if out_prior is not None:
+                sq_prior, sq_post = out_prior[k, start:stop], out_post[k, start:stop]
             post = e @ A_t
             post -= v[:, k] @ K_t
-            _sq_err(e, rows_prior[:, k])
-            _sq_err(post, rows_post[:, k])
+            _sq_err(e, sq_prior)
+            _sq_err(post, sq_post)
+            if k >= burn:
+                sum_prior += sq_prior
+                sum_post += sq_post
             e = post @ H_t
             e += w[:, k] @ chol_w_t
-        del w, v  # free this block's noise before the next block draws its own
-        mean_prior[start:stop] = rows_prior[:, burn:].mean(axis=1)
-        mean_post[start:stop] = rows_post[:, burn:].mean(axis=1)
+        sum_prior /= T - burn
+        sum_post /= T - burn
 
 
 def simulate(config: SimulationConfig, *, threads: int = 1, paths: bool = True) -> SimulationResult:
@@ -220,7 +245,7 @@ def simulate(config: SimulationConfig, *, threads: int = 1, paths: bool = True) 
     try:
         per_trial_prior, per_trial_post = np.empty(trials), np.empty(trials)
         sigma_row = np.tile(sigma, T)
-        out_prior, out_post = (np.empty((trials, T)), np.empty((trials, T))) if paths else (None, None)
+        out_prior, out_post = (np.empty((T, trials)), np.empty((T, trials))) if paths else (None, None)
     except (ValueError, MemoryError) as exc:  # a size numpy cannot address, or too large to hold
         raise ValidationError(f"trials={trials} x horizon_T={T} cannot be allocated: {exc}") from None
     sol = solve_filter(system, sigma)
@@ -230,8 +255,9 @@ def simulate(config: SimulationConfig, *, threads: int = 1, paths: bool = True) 
     burn = min(BURN_IN, T - 1)
     x0_factor = symmetric_factor(config.x0_cov) if config.x0_cov is not None else None
 
-    # spans start at block boundaries, so threads never split a noise block
-    chunk = NOISE_BLOCK * math.ceil(trials / (NOISE_BLOCK * max(1, int(threads))))
+    # spans start at block boundaries, so threads never split a noise block;
+    # integer ceiling division, so that no thread count rounds the chunk to 0
+    chunk = NOISE_BLOCK * -(-trials // (NOISE_BLOCK * max(1, _as_int(threads, "threads"))))
     spans = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
     args = (sol, sigma_row, config.seed, T, burn, x0_factor, out_prior, out_post,
             per_trial_prior, per_trial_post)
@@ -262,8 +288,8 @@ def simulate(config: SimulationConfig, *, threads: int = 1, paths: bool = True) 
         burn_in=burn,
     )
     return SimulationResult(
-        sq_err_prior=out_prior,
-        sq_err_post=out_post,
+        sq_err_prior=None if out_prior is None else out_prior.T,
+        sq_err_post=None if out_post is None else out_post.T,
         bound_prior=(prior_rep.lower, prior_rep.upper),
         bound_post=(post_rep.lower, post_rep.upper),
         summary=summary,
@@ -281,15 +307,27 @@ def write_csv(result: SimulationResult, path) -> None:
     if result.sq_err_prior is None:
         raise ValidationError("write_csv needs per-step paths; simulate with paths=True")
     T = result.horizon_T
+    for name in ("sq_err_prior", "sq_err_post"):
+        shape = np.shape(getattr(result, name))
+        if shape != (result.trials, T):
+            raise ValidationError(f"{name} must have shape {(result.trials, T)}, got {shape}")
     b = [repr(float(v)) for v in (*result.bound_prior, *result.bound_post)]
     ks = [f",{k}," for k in range(T)]
     commas = [","] * T
     tails = [f",{b[0]},{b[1]},{b[2]},{b[3]}\n"] * T
+    # the paths are views of time-major storage, so a trial's row is strided:
+    # copy a few trials at a time into a C-ordered scratch and build one
+    # string per trial from its Python floats, keeping the extra memory to a
+    # few rows, not the whole array
+    step = 8
+    scratch = np.empty((2, min(step, result.trials), T))
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        # one string per trial, built from Python floats: tolist() on one
-        # row at a time keeps the extra memory to a row, not the whole array
-        for t, (prior, post) in enumerate(zip(result.sq_err_prior, result.sq_err_post)):
-            fields = zip([str(t)] * T, ks, map(repr, prior.tolist()), commas,
-                         map(repr, post.tolist()), tails)
-            fh.write("".join(chain.from_iterable(fields)))
+        for lo in range(0, result.trials, step):
+            m = min(step, result.trials - lo)
+            np.copyto(scratch[0, :m], result.sq_err_prior[lo:lo + m])
+            np.copyto(scratch[1, :m], result.sq_err_post[lo:lo + m])
+            for i in range(m):
+                fields = zip([str(lo + i)] * T, ks, map(repr, scratch[0, i].tolist()), commas,
+                             map(repr, scratch[1, i].tolist()), tails)
+                fh.write("".join(chain.from_iterable(fields)))

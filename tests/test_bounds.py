@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_discrete_are
 
 from dpkalman import (
     SystemModel,
@@ -97,7 +98,7 @@ class TestAprioriLogdet:
         assert rep.intermediates["gamma_1"] == pytest.approx(10.0 / 11.0)
         assert rep.intermediates["eta"] == pytest.approx(10.347242, abs=1e-5)
         assert rep.upper == pytest.approx(23.44, abs=0.01)
-        assert rep.lower == pytest.approx(4.611, abs=0.001)
+        assert rep.lower == pytest.approx(4.613, abs=0.001)
 
     def test_case_study_sigma_fails_precondition(self):
         rep = apriori_logdet_bounds(case_study_system(), np.full(2, SIGMA_CASE))
@@ -115,6 +116,43 @@ class TestAprioriLogdet:
         assert rep.applicable
         assert rep.upper == pytest.approx(7.0)  # tr W
         assert rep.lower == pytest.approx(math.log(10.0))  # ln det W
+
+
+    @pytest.mark.parametrize("H,c,W,sigma,lower", [
+        pytest.param([[-0.3298, -0.0771], [-0.0771, -0.4115]], [-0.6109, -0.4618],
+                     [[0.0211, -0.0026], [-0.0026, 0.039]], [4.7236, 2.9023], -7.102, id="stable"),
+        pytest.param([[-0.6192, -0.2856], [-0.5224, -1.6312]], [0.0712, -1.519],
+                     [[0.0233, 0.0067], [0.0067, 0.0448]], [0.2882, 0.3545], -6.748, id="unstable"),
+    ])
+    def test_lower_holds_on_small_noise_plants(self, H, c, W, sigma, lower):
+        # two plants with lambda_max(W) < 0.05 on which log(s det(H)^2 + det W),
+        # s = sigma_u^2 / (sigma_u^2 / lambda_min(W) + C_u^2 + sigma_u^2 ln n),
+        # lay above the true log det (by 0.029 and 0.80); scipy is the oracle
+        system = SystemModel(H=H, C=np.diag(c), W=W, x0_hat=np.zeros(2))
+        sigma = np.asarray(sigma)
+        true = np.linalg.slogdet(solve_discrete_are(system.H.T, system.C.T, system.W,
+                                                    np.diag(sigma**2)))[1]
+        rep = apriori_logdet_bounds(system, sigma)
+        assert rep.lower == pytest.approx(lower, abs=1e-3)
+        assert rep.lower <= true
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lower_holds_over_a_wide_plant_range(self, seed):
+        # n up to 6, per-channel SNR 1e-6..1e6, spectral radius up to 1.6,
+        # cond(W) up to e^8, lambda_max(W) down to 1e-3; scipy is the oracle
+        rng = np.random.default_rng(9100 + seed)
+        for _ in range(50):
+            n = int(rng.integers(1, 7))
+            H = rng.normal(size=(n, n))
+            H *= rng.uniform(0.0, 1.6) / max(np.max(np.abs(np.linalg.eigvals(H))), 1e-12)
+            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+            W = (q * np.exp(-rng.uniform(0.0, 8.0, size=n))) @ q.T * 10.0 ** rng.uniform(-3, 1)
+            c = rng.uniform(0.05, 3.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+            sigma = np.abs(c) / np.sqrt(10.0 ** rng.uniform(-6, 6, size=n))
+            system = SystemModel(H=H, C=np.diag(c), W=(W + W.T) / 2, x0_hat=np.zeros(n))
+            true = np.linalg.slogdet(solve_discrete_are(system.H.T, system.C.T, system.W,
+                                                        np.diag(sigma**2)))[1]
+            assert apriori_logdet_bounds(system, sigma).lower <= true + 1e-9 * max(1.0, abs(true))
 
 
 class TestAposterioriLogdet:

@@ -527,6 +527,22 @@ class TestDegenerateChannel:
         strict_json(summary.read_text())
 
 
+class TestLargePlant:
+    @pytest.mark.filterwarnings("ignore:overflow encountered in det:RuntimeWarning")
+    def test_bounds_stay_finite_and_strict_json(self, write_config, capsys):
+        # det W = 100**160 overflows a float: the a-priori log-det lower
+        # bound read Infinity, and so does the det_w intermediate
+        n = 160
+        diag = lambda v: matrix(n, n, np.diag(np.full(n, v)).tolist())
+        doc = case_study_doc()
+        doc["system"] = {"H": diag(0.5), "C": diag(1.0), "W": diag(100.0), "x0_hat": [0.0] * n}
+        code, out, _ = run(capsys, "bounds", "--config", write_config(doc), "--json")
+        assert code == 0
+        report = strict_json(out)["apriori_logdet"]
+        assert report["lower"] == pytest.approx(n * math.log(100.0), rel=1e-3)
+        assert report["intermediates"]["det_w"] is None
+
+
 class TestJsonPurity:
     @pytest.mark.parametrize(
         "command,extra",

@@ -1,11 +1,15 @@
+import dataclasses
 import math
+import os
 import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpkalman import (
+    DPKalmanError,
     PrivacyConfig,
     SimulationConfig,
     SystemModel,
@@ -16,7 +20,7 @@ from dpkalman import (
     write_csv,
 )
 from dpkalman.rng import STREAM_PRIVACY, STREAM_PROCESS, gaussian_generator
-from dpkalman.simulation import CSV_HEADER, NOISE_BLOCK
+from dpkalman.simulation import BURN_IN, CSV_HEADER, NOISE_BLOCK
 from helpers import case_study_system, reference_paths
 from test_network import agent, scalar_agent
 
@@ -30,7 +34,7 @@ def case_config(trials=200, horizon=100, seed=42, **kw):
                             trials=trials, seed=seed, **kw)
 
 
-def dense_config(trials, horizon, seed, n=16):
+def dense_config(trials, horizon, seed, n=16, **kw):
     # a seeded stable plant with dense H and W: n >= 8 state components
     rng = np.random.default_rng(16)
     H = rng.normal(size=(n, n))
@@ -40,7 +44,7 @@ def dense_config(trials, horizon, seed, n=16):
                          W=body @ body.T / n + np.eye(n), x0_hat=rng.normal(size=n))
     privacy = PrivacyConfig.for_system(system, epsilon=1.0, delta=0.001, adjacency_B=1.0)
     return SimulationConfig(system=system, privacy=privacy, horizon_T=horizon,
-                            trials=trials, seed=seed)
+                            trials=trials, seed=seed, **kw)
 
 
 class TestDeterminism:
@@ -102,6 +106,99 @@ class TestDeterminism:
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "0"
         assert float(first[4]) == pytest.approx(res.bound_prior[0])
+
+
+class TestKernelInvariants:
+    @pytest.mark.parametrize("trials", [1, NOISE_BLOCK - 1, NOISE_BLOCK, NOISE_BLOCK + 1,
+                                        2 * NOISE_BLOCK + 37])
+    @pytest.mark.parametrize("make_config,n", [pytest.param(case_config, 2, id="case-study"),
+                                               pytest.param(partial(dense_config, n=4), 4, id="dense-n4")])
+    def test_paths_and_streamed_summary_agree(self, make_config, n, trials):
+        # T = 1 leaves no burn-in, T = 40 leaves enough steps past it that
+        # the order of the time sum shows; threads=3 splits the larger runs
+        for T in (1, 2, 11, 40):
+            burn = min(BURN_IN, T - 1)
+            for threads in (1, 3):
+                for x0_cov in (None, 4.0 * np.eye(n)):
+                    config = make_config(trials=trials, horizon=T, seed=21, x0_cov=x0_cov)
+                    full = simulate(config, threads=threads)
+                    assert simulate(config, threads=threads, paths=False).summary == full.summary
+                    s = full.summary
+                    for paths, mean in ((full.sq_err_prior, s.mean_sq_err_prior),
+                                        (full.sq_err_post, s.mean_sq_err_post)):
+                        assert paths.shape == (trials, T)
+                        per_trial = paths[:, burn:].mean(axis=1)
+                        assert per_trial.mean() == pytest.approx(mean, rel=1e-14, abs=0.0)
+
+
+class TestWriteCsv:
+    def test_extra_memory_is_a_few_rows(self, tmp_path):
+        # the whole array as Python floats would take about 4 MB here, and
+        # tracing every allocation makes each trial written cost 60 ms
+        res = simulate(case_config(trials=32, horizon=2000))
+        tracemalloc.start()
+        try:
+            write_csv(res, tmp_path / "out.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_bytes_match_a_row_by_row_reference(self, tmp_path):
+        # 17 trials cross the edges of the chunks write_csv copies at a time
+        res = simulate(case_config(trials=17, horizon=9))
+        path = tmp_path / "out.csv"
+        write_csv(res, path)
+        tail = ",".join(repr(float(b)) for b in (*res.bound_prior, *res.bound_post))
+        rows = [CSV_HEADER]
+        for t in range(17):
+            for k in range(9):
+                rows.append(f"{t},{k},{float(res.sq_err_prior[t, k])!r},"
+                            f"{float(res.sq_err_post[t, k])!r},{tail}")
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode("ascii")
+
+
+_SIZES = st.one_of(st.integers(1, 3), st.booleans(), st.floats(allow_nan=True, allow_infinity=True),
+                   st.sampled_from([0, -1, 2**62, 2**63, 10**30, -(2**63), "2", None]))
+_MATRICES = st.one_of(
+    st.none(),
+    st.sampled_from([np.eye(3), np.ones(2), [[1.0, 2.0], [3.0]], "x", np.eye(2, dtype=bool),
+                     -np.eye(2), [[1.0, 2.0], [3.0, 4.0]], [[10**400, 0], [0, 1]],
+                     np.empty((0, 0)), 1e300 * np.eye(2), np.eye(1), np.ones((2, 2, 2))]),
+    st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=4, max_size=4)
+    .map(lambda v: np.reshape(v, (2, 2))),
+)
+
+
+class TestMalformedInputs:
+    @given(
+        system=st.sampled_from([case_study_system(), compose([scalar_agent("dot", 0.5)]),
+                                None, "case study"]),
+        privacy=st.sampled_from([case_config().privacy, None, "ln 3"]),
+        horizon=_SIZES, trials=_SIZES,
+        seed=st.one_of(st.integers(-5, 2**70), st.booleans(), st.floats(allow_nan=True),
+                       st.sampled_from(["x", None])),
+        x0_cov=_MATRICES,
+        threads=st.one_of(st.integers(-2, 4), st.booleans(),
+                          st.sampled_from([10**400, 2.5, float("nan"), None, "2"])),
+        paths=st.booleans(),
+        mangle=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_success_or_library_error(self, system, privacy, horizon, trials, seed, x0_cov,
+                                      threads, paths, mangle):
+        # every outcome is a result or a DPKalmanError, never a numpy or
+        # Python traceback; the valid sizes are small, so nothing large runs
+        with np.errstate(all="ignore"):
+            try:
+                config = SimulationConfig(system=system, privacy=privacy, horizon_T=horizon,
+                                          trials=trials, seed=seed, x0_cov=x0_cov)
+                result = simulate(config, threads=threads, paths=paths)
+                if mangle and paths:
+                    result = dataclasses.replace(result, sq_err_post=result.sq_err_post[:, :-1])
+                write_csv(result, os.devnull)
+            except DPKalmanError:
+                pass
 
 
 class TestStatistics:
