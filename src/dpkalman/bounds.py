@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveSigmaError, NotDiagonalError
-from .linalg import SystemModel, as_matrix, as_vector, singular_values
+from .linalg import SystemModel, as_matrix, as_vector
 
 DIAGONALITY_RTOL = 1e-12
 
@@ -99,20 +99,22 @@ def channel_extremes(C, sigma) -> ChannelExtremes:
     )
 
 
-def _common_quantities(system: SystemModel, sigma):
+def _inputs(system: SystemModel, sigma):
+    # What every report reads: sigma_u^2, sigma_l^2, C_u^2 and C_l^2 of the
+    # extreme channels, lambda_min(W), lambda_max(W), tr W, and the channel
+    # intermediates. It checks sigma through channel_extremes.
     ext = channel_extremes(system.C, sigma)
     w = np.linalg.eigvalsh(system.W)
-    return ext, float(w[0]), float(w[-1])
+    channels = {"c_l": ext.c_l, "c_u": ext.c_u, "sigma_l": ext.sigma_l, "sigma_u": ext.sigma_u}
+    return (ext.sigma_u**2, ext.sigma_l**2, ext.c_u**2, ext.c_l**2, float(w[0]), float(w[-1]),
+            float(np.trace(system.W)), channels)
 
 
 def apriori_trace_bounds(system: SystemModel, sigma) -> BoundReport:
     """Bounds on the steady-state mean squared prediction error (tr of the
     prediction covariance)."""
-    ext, lam_min_w, _ = _common_quantities(system, sigma)
-    tr_w = float(np.trace(system.W))
+    su2, sl2, cu2, cl2, lam_min_w, _, tr_w, channels = _inputs(system, sigma)
     tr_hth = float(np.sum(system.H * system.H))
-    su2, sl2 = ext.sigma_u**2, ext.sigma_l**2
-    cu2, cl2 = ext.c_u**2, ext.c_l**2
     lower = tr_w + su2 * tr_hth * lam_min_w / (su2 + lam_min_w * cu2)
     upper = math.inf if cl2 == 0.0 else tr_w + sl2 * tr_hth / cl2
     return BoundReport(
@@ -120,20 +122,15 @@ def apriori_trace_bounds(system: SystemModel, sigma) -> BoundReport:
         lower=lower,
         upper=upper,
         applicable=True,
-        intermediates={
-            "tr_w": tr_w, "tr_hth": tr_hth, "lambda_min_w": lam_min_w,
-            "c_l": ext.c_l, "c_u": ext.c_u, "sigma_l": ext.sigma_l, "sigma_u": ext.sigma_u,
-        },
+        intermediates={"tr_w": tr_w, "tr_hth": tr_hth, "lambda_min_w": lam_min_w, **channels},
     )
 
 
 def aposteriori_trace_bounds(system: SystemModel, sigma) -> BoundReport:
     """Bounds on the steady-state mean squared estimation error (tr of the
     estimation covariance)."""
-    ext, lam_min_w, _ = _common_quantities(system, sigma)
+    su2, sl2, cu2, cl2, lam_min_w, _, _, channels = _inputs(system, sigma)
     n = system.n
-    su2, sl2 = ext.sigma_u**2, ext.sigma_l**2
-    cu2, cl2 = ext.c_u**2, ext.c_l**2
     lower = n * su2 / (cu2 + su2 / lam_min_w)
     upper = math.inf if cl2 == 0.0 else n * sl2 / cl2
     return BoundReport(
@@ -141,10 +138,7 @@ def aposteriori_trace_bounds(system: SystemModel, sigma) -> BoundReport:
         lower=lower,
         upper=upper,
         applicable=True,
-        intermediates={
-            "n": float(n), "lambda_min_w": lam_min_w,
-            "c_l": ext.c_l, "c_u": ext.c_u, "sigma_l": ext.sigma_l, "sigma_u": ext.sigma_u,
-        },
+        intermediates={"n": float(n), "lambda_min_w": lam_min_w, **channels},
     )
 
 
@@ -154,22 +148,21 @@ def apriori_logdet_bounds(system: SystemModel, sigma) -> BoundReport:
     The upper bound requires s1(H)^2 < 1 + eta * C_l^2 / sigma_l^2 with
     eta = s_n(H)^2 * max_i gamma_i + lambda_min(W). The lower bound,
     log(det(H)^2 s0^n + det W) with s0 = sigma_u^2 / (sigma_u^2 / lambda_min(W)
-    + C_u^2), needs no precondition and is always reported.
+    + C_u^2), needs no precondition and is always reported. The ``det_h`` and
+    ``det_w`` intermediates are taken from the log-determinants.
     """
-    ext, lam_min_w, lam_max_w = _common_quantities(system, sigma)
-    sigma = as_vector(sigma, "sigma", length=system.n)
+    su2, sl2, cu2, cl2, lam_min_w, lam_max_w, tr_w, channels = _inputs(system, sigma)
     n = system.n
-    tr_w = float(np.trace(system.W))
     c_diag = np.diag(system.C)
     w_diag = np.diag(system.W)
-    sig2 = sigma**2
+    sig2 = np.asarray(sigma, dtype=float) ** 2  # checked by _inputs
     gammas = sig2 * w_diag / (sig2 + c_diag**2 * w_diag)
-    s = singular_values(system.H)
+    s = np.linalg.svd(system.H, compute_uv=False)
     eta = float(s[-1] ** 2 * gammas.max() + lam_min_w)
-    det_h = float(np.linalg.det(system.H))
-    det_w = float(np.linalg.det(system.W))
-    su2, sl2 = ext.sigma_u**2, ext.sigma_l**2
-    cu2, cl2 = ext.c_u**2, ext.c_l**2
+    sign_h, logdet_h = np.linalg.slogdet(system.H)
+    logdet_w = np.linalg.slogdet(system.W)[1]
+    with np.errstate(over="ignore"):  # past float range they read null
+        det_h, det_w = float(sign_h * np.exp(logdet_h)), float(np.exp(logdet_w))
     lhs = float(s[0] ** 2)
     rhs = 1.0 + eta * cl2 / sl2
     applicable = lhs < rhs
@@ -177,8 +170,7 @@ def apriori_logdet_bounds(system: SystemModel, sigma) -> BoundReport:
     # det A + det B for A, B >= 0: det(H Sigma_bar H^T + W) >= det(H)^2 s0^n + det W,
     # summed in log space so that neither term under- or overflows at large n
     s0 = su2 / (su2 / lam_min_w + cu2)
-    lower = float(np.logaddexp(2.0 * np.linalg.slogdet(system.H)[1] + n * math.log(s0),
-                               np.linalg.slogdet(system.W)[1]))
+    lower = float(np.logaddexp(2.0 * logdet_h + n * math.log(s0), logdet_w))
     if applicable:
         upper = sl2 * lam_max_w / (sl2 + eta * cl2 - sl2 * lhs) * float(np.sum(s**2)) + tr_w
     else:
@@ -186,8 +178,7 @@ def apriori_logdet_bounds(system: SystemModel, sigma) -> BoundReport:
     intermediates = {
         "eta": eta, "lambda_min_w": lam_min_w, "lambda_max_w": lam_max_w,
         "tr_w": tr_w, "tr_hth": float(np.sum(s**2)), "det_h": det_h, "det_w": det_w,
-        "precondition_lhs": lhs, "precondition_rhs": rhs,
-        "c_l": ext.c_l, "c_u": ext.c_u, "sigma_l": ext.sigma_l, "sigma_u": ext.sigma_u,
+        "precondition_lhs": lhs, "precondition_rhs": rhs, **channels,
     }
     for i, g in enumerate(gammas):
         intermediates[f"gamma_{i + 1}"] = float(g)
@@ -201,10 +192,8 @@ def apriori_logdet_bounds(system: SystemModel, sigma) -> BoundReport:
 
 def aposteriori_logdet_bounds(system: SystemModel, sigma) -> BoundReport:
     """Bounds on the log-determinant of the estimation error covariance."""
-    ext, lam_min_w, _ = _common_quantities(system, sigma)
+    su2, sl2, cu2, cl2, lam_min_w, _, _, channels = _inputs(system, sigma)
     n = system.n
-    su2, sl2 = ext.sigma_u**2, ext.sigma_l**2
-    cu2, cl2 = ext.c_u**2, ext.c_l**2
     lower = n * math.log(su2 / (cu2 + su2 / lam_min_w))
     upper = math.inf if cl2 == 0.0 else n * math.log(sl2 / cl2)
     return BoundReport(
@@ -212,10 +201,7 @@ def aposteriori_logdet_bounds(system: SystemModel, sigma) -> BoundReport:
         lower=lower,
         upper=upper,
         applicable=True,
-        intermediates={
-            "n": float(n), "lambda_min_w": lam_min_w,
-            "c_l": ext.c_l, "c_u": ext.c_u, "sigma_l": ext.sigma_l, "sigma_u": ext.sigma_u,
-        },
+        intermediates={"n": float(n), "lambda_min_w": lam_min_w, **channels},
     )
 
 

@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import channel_extremes, json_number
+from .bounds import _inputs, json_number
 from .errors import DegenerateSystemError, InvalidTargetError, OutOfDomainError
-from .linalg import SystemModel, solve_dare
+from .linalg import SystemModel, _as_real, solve_dare
 from .privacy import gaussian_sigma, sensitivity_bound
 
 APRIORI = "apriori"
@@ -41,6 +41,8 @@ class CalibrationTarget:
     adjacency_B: float
 
     def __post_init__(self):
+        for name in ("B_l", "B_u", "delta", "adjacency_B"):
+            _as_real(getattr(self, name), name)
         if self.kind not in (APRIORI, APOSTERIORI):
             raise InvalidTargetError(f"kind must be '{APRIORI}' or '{APOSTERIORI}', got {self.kind!r}")
         if not self.B_l < self.B_u:
@@ -132,10 +134,8 @@ def calibrate_apriori(system: SystemModel, target: CalibrationTarget) -> Epsilon
     if target.kind != APRIORI:
         raise InvalidTargetError(f"target kind is {target.kind!r}, expected '{APRIORI}'")
     sens = _sensitivity_for(system, target)
-    ext = channel_extremes(system.C, np.ones(system.n))
-    tr_w = float(np.trace(system.W))
+    _, _, cu2, cl2, lam_min_w, _, tr_w, _ = _inputs(system, np.ones(system.n))
     tr_hth = float(np.sum(system.H * system.H))
-    lam_min_w = float(np.linalg.eigvalsh(system.W)[0])
     if tr_hth == 0.0:
         raise DegenerateSystemError("tr(H^T H) is zero; the prediction MSE cannot exceed tr W")
     if target.B_l <= tr_w:
@@ -146,8 +146,8 @@ def calibrate_apriori(system: SystemModel, target: CalibrationTarget) -> Epsilon
             f"B_l = {target.B_l} must stay below tr W + tr(H^T H) * lambda_min(W) = "
             f"{tr_w + tr_hth * lam_min_w}"
         )
-    eta1 = math.sqrt((target.B_l - tr_w) * lam_min_w * ext.c_u**2 / (sens**2 * denom))
-    eta3 = math.sqrt((target.B_u - tr_w) * ext.c_l**2 / (sens**2 * tr_hth))
+    eta1 = math.sqrt((target.B_l - tr_w) * lam_min_w * cu2 / (sens**2 * denom))
+    eta3 = math.sqrt((target.B_u - tr_w) * cl2 / (sens**2 * tr_hth))
     return _interval(eta1, eta3, ("eta1", "eta3"), target.delta, sens)
 
 
@@ -156,16 +156,15 @@ def calibrate_aposteriori(system: SystemModel, target: CalibrationTarget) -> Eps
     if target.kind != APOSTERIORI:
         raise InvalidTargetError(f"target kind is {target.kind!r}, expected '{APOSTERIORI}'")
     sens = _sensitivity_for(system, target)
-    ext = channel_extremes(system.C, np.ones(system.n))
+    _, _, cu2, cl2, lam_min_w, _, _, _ = _inputs(system, np.ones(system.n))
     n = system.n
-    lam_min_w = float(np.linalg.eigvalsh(system.W)[0])
     denom = n - target.B_l / lam_min_w
     if denom <= 0.0:
         raise InvalidTargetError(
             f"B_l = {target.B_l} must stay below n * lambda_min(W) = {n * lam_min_w}"
         )
-    eta2 = math.sqrt(target.B_l * ext.c_u**2 / (sens**2 * denom))
-    eta4 = math.sqrt(target.B_u * ext.c_l**2 / (n * sens**2))
+    eta2 = math.sqrt(target.B_l * cu2 / (sens**2 * denom))
+    eta4 = math.sqrt(target.B_u * cl2 / (n * sens**2))
     return _interval(eta2, eta4, ("eta2", "eta4"), target.delta, sens)
 
 
@@ -177,11 +176,13 @@ def verify_calibration(system: SystemModel, target: CalibrationTarget,
     calibration assumes. The scale is positive whenever the sensitivity is,
     so the noise covariance stays invertible.
     """
+    epsilon = _as_real(epsilon, "epsilon")
     if epsilon <= 0.0 or not math.isfinite(epsilon):
         raise OutOfDomainError(f"epsilon must be positive and finite, got {epsilon}")
     sens = _sensitivity_for(system, target)
     sigma = gaussian_sigma(epsilon, target.delta, sens)
-    V = sigma**2 * np.eye(system.q)
+    with np.errstate(over="ignore", invalid="ignore"):  # solve_dare rejects a variance past float range
+        V = np.float64(sigma) ** 2 * np.eye(system.q)
     ric = solve_dare(system, V)
     if target.kind == APRIORI:
         achieved = float(np.trace(ric.sigma))

@@ -26,7 +26,7 @@ from .calibration import (
     calibrate_aposteriori,
     calibrate_apriori,
 )
-from .config import Config, build_agents, build_privacy, load_config
+from .config import build_agents, build_privacy, load_config
 from .errors import (
     ConfigError,
     DPKalmanError,
@@ -128,13 +128,9 @@ def _need(section, name: str):
     return section
 
 
-def _system_of(config: Config):
-    return _need(config.system, "system")
-
-
 def _cmd_calibrate(args) -> int:
     config = load_config(args.config)
-    system = _system_of(config)
+    system = _need(config.system, "system")
     privacy = _need(config.privacy, "privacy")
     cal = _need(config.calibration, "calibration")
     kind = args.kind or cal.kind
@@ -154,12 +150,17 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_bounds(args) -> int:
+def _system_and_scales(args):
+    # the configured system, its noise scales, and whether they are compliant
     config = load_config(args.config)
-    system = _system_of(config)
+    system = _need(config.system, "system")
     privacy = _need(config.privacy, "privacy")
-    sigma, compliant = noise_scales(system, privacy.epsilon, privacy.delta,
-                                    privacy.adjacency_B, privacy.sigma)
+    return (system, *noise_scales(system, privacy.epsilon, privacy.delta,
+                                  privacy.adjacency_B, privacy.sigma))
+
+
+def _cmd_bounds(args) -> int:
+    system, sigma, compliant = _system_and_scales(args)
     reports = all_bounds(system, sigma)
     doc = {kind: rep.to_dict() for kind, rep in reports.items()}
     doc["sigma"] = [float(s) for s in sigma]
@@ -182,11 +183,7 @@ def _riccati_summary(ric) -> dict:
 
 
 def _cmd_dare(args) -> int:
-    config = load_config(args.config)
-    system = _system_of(config)
-    privacy = _need(config.privacy, "privacy")
-    sigma, compliant = noise_scales(system, privacy.epsilon, privacy.delta,
-                                    privacy.adjacency_B, privacy.sigma)
+    system, sigma, compliant = _system_and_scales(args)
     doc = _riccati_summary(solve_dare(system, np.diag(sigma**2)))
     doc["privacy_compliant"] = compliant
     _emit(doc, args.json)
@@ -199,7 +196,7 @@ def _cmd_simulate(args) -> int:
     if config.agents is not None:
         system, privacy = compose(build_agents(config.agents)), None
     else:
-        system = _system_of(config)
+        system = _need(config.system, "system")
         privacy = build_privacy(system, _need(config.privacy, "privacy"))
     sim_config = SimulationConfig(
         system=system, privacy=privacy,

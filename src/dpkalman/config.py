@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .linalg import SystemModel
+from .errors import ConfigError, ValidationError
+from .linalg import SystemModel, _as_int, _as_real, _as_size
 from .network import AgentSpec
 from .privacy import PrivacyConfig
 
@@ -77,26 +77,17 @@ def _check_keys(mapping: dict, required: set[str], optional: set[str], context: 
 
 
 def _number(value, context: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{context} must be a number, got {value!r}")
-    if not abs(value) <= sys.float_info.max:  # NaN, +-Infinity, or an int too large for a float
+    number = _as_real(value, context)
+    if not abs(value) <= sys.float_info.max:  # NaN, +-Infinity, or an int past the largest float
         raise ConfigError(f"{context} must be finite, got {value!r}")
-    return float(value)
-
-
-def _integer(value, context: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{context} must be an integer, got {value!r}")
-    return value
+    return number
 
 
 def parse_matrix(obj, context: str) -> np.ndarray:
     obj = _require_mapping(obj, context)
     _check_keys(obj, {"rows", "cols", "entries"}, set(), context)
-    rows = _integer(obj["rows"], f"{context}.rows")
-    cols = _integer(obj["cols"], f"{context}.cols")
-    if rows < 1 or cols < 1:
-        raise ConfigError(f"{context}: rows and cols must be positive, got {rows}x{cols}")
+    rows = _as_size(obj["rows"], f"{context}.rows")
+    cols = _as_size(obj["cols"], f"{context}.cols")
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != rows:
         raise ConfigError(f"{context}.entries must be a list of {rows} rows")
@@ -117,15 +108,10 @@ def parse_vector(obj, context: str) -> np.ndarray:
 def _parse_system(obj, context: str) -> SystemModel:
     obj = _require_mapping(obj, context)
     _check_keys(obj, {"H", "C", "W", "x0_hat"}, set(), context)
+    matrices = {name: parse_matrix(obj[name], f"{context}.{name}") for name in ("H", "C", "W")}
+    x0_hat = parse_vector(obj["x0_hat"], f"{context}.x0_hat")
     try:
-        return SystemModel(
-            H=parse_matrix(obj["H"], f"{context}.H"),
-            C=parse_matrix(obj["C"], f"{context}.C"),
-            W=parse_matrix(obj["W"], f"{context}.W"),
-            x0_hat=parse_vector(obj["x0_hat"], f"{context}.x0_hat"),
-        )
-    except ConfigError:
-        raise
+        return SystemModel(**matrices, x0_hat=x0_hat)
     except Exception as exc:
         raise ConfigError(f"{context}: {exc}")
 
@@ -151,19 +137,12 @@ def _parse_privacy(obj, context: str) -> PrivacySpec:
 def _parse_simulation(obj, context: str) -> SimulationSpec:
     obj = _require_mapping(obj, context)
     _check_keys(obj, {"horizon_T", "trials", "seed"}, set(), context)
-    spec = SimulationSpec(
-        horizon_T=_integer(obj["horizon_T"], f"{context}.horizon_T"),
-        trials=_integer(obj["trials"], f"{context}.trials"),
-        seed=_integer(obj["seed"], f"{context}.seed"),
+    # the seed is taken mod 2**64
+    return SimulationSpec(
+        horizon_T=_as_size(obj["horizon_T"], f"{context}.horizon_T"),
+        trials=_as_size(obj["trials"], f"{context}.trials"),
+        seed=_as_int(obj["seed"], f"{context}.seed"),
     )
-    # sizes above sys.maxsize cannot index an array; the seed is taken mod 2**64
-    for name in ("horizon_T", "trials"):
-        value = getattr(spec, name)
-        if value < 1:
-            raise ConfigError(f"{context}.{name} must be >= 1, got {value}")
-        if value > sys.maxsize:
-            raise ConfigError(f"{context}.{name} must be <= {sys.maxsize}, got {value}")
-    return spec
 
 
 def _parse_calibration(obj, context: str) -> CalibrationSpec:
@@ -206,19 +185,24 @@ def loads_config(text: str) -> Config:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
+    except RecursionError:
+        raise ConfigError("invalid JSON: nested too deeply") from None
     doc = _require_mapping(doc, "config")
     _check_keys(doc, set(), {"system", "agents", "privacy", "simulation", "calibration"}, "config")
     if "system" in doc and "agents" in doc:
         raise ConfigError("config: 'system' and 'agents' are mutually exclusive")
     if "privacy" in doc and "agents" in doc:
         raise ConfigError("config: with 'agents', privacy is per agent; drop the top-level section")
-    return Config(
-        system=_parse_system(doc["system"], "system") if "system" in doc else None,
-        agents=_parse_agents(doc["agents"], "agents") if "agents" in doc else None,
-        privacy=_parse_privacy(doc["privacy"], "privacy") if "privacy" in doc else None,
-        simulation=_parse_simulation(doc["simulation"], "simulation") if "simulation" in doc else None,
-        calibration=_parse_calibration(doc["calibration"], "calibration") if "calibration" in doc else None,
-    )
+    try:
+        return Config(
+            system=_parse_system(doc["system"], "system") if "system" in doc else None,
+            agents=_parse_agents(doc["agents"], "agents") if "agents" in doc else None,
+            privacy=_parse_privacy(doc["privacy"], "privacy") if "privacy" in doc else None,
+            simulation=_parse_simulation(doc["simulation"], "simulation") if "simulation" in doc else None,
+            calibration=_parse_calibration(doc["calibration"], "calibration") if "calibration" in doc else None,
+        )
+    except ValidationError as exc:  # linalg's number and integer rules name the field
+        raise ConfigError(str(exc)) from None
 
 
 def load_config(path) -> Config:
@@ -226,7 +210,7 @@ def load_config(path) -> Config:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     return loads_config(text)
 

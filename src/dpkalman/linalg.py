@@ -8,6 +8,8 @@ validation so instances are safe to share across threads.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,10 +63,27 @@ def as_vector(value, name: str = "vector", length: int | None = None) -> np.ndar
 
 
 def _as_int(value, name: str) -> int:
-    # a Python int, not a bool or a float (the rule of config._integer)
+    # a Python int, not a bool or a float
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _as_size(value, name: str) -> int:
+    # an integer in [1, sys.maxsize]: larger sizes cannot index an array
+    if not 1 <= _as_int(value, name) <= sys.maxsize:
+        raise ValidationError(f"{name} must lie in [1, {sys.maxsize}], got {value}")
+    return value
+
+
+def _as_real(value, name: str) -> float:
+    # a real number other than a bool, as a float; NaN and infinities pass
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{name} must be finite, got {value!r}") from None
 
 
 def symmetrize(S: np.ndarray) -> np.ndarray:
@@ -244,8 +263,8 @@ def solve_dare(system: SystemModel, V) -> RiccatiSolution:
     change is below ``DARE_CHANGE_TOL`` and whose fixed-point residual
     |map(sigma) - sigma|_F / |sigma|_F is at most ``DARE_RESIDUAL_TOL``, with
     ``sigma_bar`` the posterior inside that same map; ``NoConvergenceError``
-    after ``DARE_MAX_ITERATIONS``. The start at W is valid because the
-    solution dominates W.
+    after ``DARE_MAX_ITERATIONS``, or at the first residual that is not
+    finite. The start at W is valid because the solution dominates W.
     """
     V = require_symmetric(as_matrix(V, "V"), "V")
     if V.shape != (system.q, system.q):
@@ -268,6 +287,9 @@ def solve_dare(system: SystemModel, V) -> RiccatiSolution:
         residual = step / sigma_norm
         if change < DARE_CHANGE_TOL and residual <= DARE_RESIDUAL_TOL:
             break
+        if not math.isfinite(residual):  # NaN, or past float range for good: the iterates grow
+            raise NoConvergenceError(f"Riccati iteration diverged after {iterations} iterations "
+                                     f"(residual {residual:.3e})")
         sigma_norm = max(_frobenius(nxt), tiny)
         change = step / sigma_norm
         sigma = nxt

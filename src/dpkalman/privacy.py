@@ -18,7 +18,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import NonPositiveSigmaError, OutOfDomainError, ValidationError
-from .linalg import _as_int, as_matrix, as_vector, singular_values
+from .linalg import _as_int, _as_real, as_matrix, as_vector, singular_values
 from .rng import STREAM_PRIVACY, gaussian_generator
 
 # Relative undershoot tolerated when a caller supplies noise scales rounded
@@ -33,16 +33,26 @@ def q_inverse(delta: float) -> float:
     return -NormalDist().inv_cdf(delta)
 
 
+def _radius(adjacency_B) -> float:
+    # the adjacency radius B as a positive finite float
+    radius = _as_real(adjacency_B, "adjacency_B")
+    if not (math.isfinite(radius) and radius > 0.0):
+        raise OutOfDomainError(f"adjacency_B must be positive, got {adjacency_B}")
+    return radius
+
+
 def sensitivity_bound(C, adjacency_B: float) -> float:
     """Upper bound s1(C) * B on the worst-case output-trajectory distance."""
-    if not (math.isfinite(adjacency_B) and adjacency_B > 0.0):
-        raise OutOfDomainError(f"adjacency_B must be positive, got {adjacency_B}")
+    radius = _radius(adjacency_B)
     s = singular_values(as_matrix(C, "C"))
-    return float(s[0]) * adjacency_B
+    return float(s[0]) * radius
 
 
 def gaussian_sigma(epsilon: float, delta: float, sensitivity: float) -> float:
     """Minimal compliant Gaussian noise scale for (epsilon, delta)-privacy."""
+    epsilon = _as_real(epsilon, "epsilon")
+    delta = _as_real(delta, "delta")
+    sensitivity = _as_real(sensitivity, "sensitivity")
     if not epsilon > 0.0:
         raise OutOfDomainError(f"epsilon must be positive, got {epsilon}")
     if not 0.0 < delta < 0.5:
@@ -80,9 +90,12 @@ def _scales(system, minimal: float, sigma) -> np.ndarray:
     # the scale vector of noise_scales, given its minimal scale
     if sigma is None:
         sigma = minimal
-    if np.ndim(sigma) == 0:
-        sigma = np.full(system.q, float(sigma))
-    vec = as_vector(sigma, "sigma", length=system.q)
+    return _nonnegative(np.full(system.q, sigma) if np.ndim(sigma) == 0 else sigma, system.q)
+
+
+def _nonnegative(sigma, length: int | None = None) -> np.ndarray:
+    # sigma as a vector of nonnegative noise scales, of ``length`` if given
+    vec = as_vector(sigma, "sigma", length=length)
     if np.any(vec < 0.0):
         raise NonPositiveSigmaError("noise scales must be nonnegative")
     return vec
@@ -96,14 +109,15 @@ def privatize(y, sigma, rng_seed: int, *, stream_index: int = 0) -> np.ndarray:
     callers privatizing several trajectories under one seed should pass
     distinct stream indices.
     """
-    y = np.asarray(y, dtype=float)  # read only: the noise is added into a new array
+    try:
+        y = np.asarray(y, dtype=float)  # read only: the noise is added into a new array
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"trajectory must be an array of numbers: {exc}") from None
     if y.ndim != 2 or y.size == 0:
         raise ValidationError(f"trajectory must be a nonempty (T, q) array, got shape {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ValidationError("trajectory contains non-finite entries")
-    sigma = as_vector(sigma, "sigma", length=y.shape[1])
-    if np.any(sigma < 0.0):
-        raise NonPositiveSigmaError("noise scales must be nonnegative")
+    sigma = _nonnegative(sigma, y.shape[1])
     _as_int(rng_seed, "rng_seed")
     if _as_int(stream_index, "stream_index") < 0:
         raise OutOfDomainError(f"stream_index must be nonnegative, got {stream_index}")
@@ -130,11 +144,8 @@ class PrivacyConfig:
 
     def __post_init__(self):
         floor = gaussian_sigma(self.epsilon, self.delta, self.sensitivity)
-        if not (math.isfinite(self.adjacency_B) and self.adjacency_B > 0.0):
-            raise OutOfDomainError(f"adjacency_B must be positive, got {self.adjacency_B}")
-        vec = as_vector(self.sigma, "sigma")
-        if np.any(vec < 0.0):
-            raise NonPositiveSigmaError("noise scales must be nonnegative")
+        _radius(self.adjacency_B)
+        vec = _nonnegative(self.sigma)
         if not meets_minimum(vec, floor):
             raise ValidationError(
                 f"noise scale below the ({self.epsilon}, {self.delta}) minimum {floor:.6g}: "

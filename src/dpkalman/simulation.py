@@ -30,7 +30,6 @@ bits as with the paths kept.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import chain
 
@@ -39,7 +38,7 @@ import numpy as np
 from .bounds import aposteriori_trace_bounds, apriori_trace_bounds
 from .errors import ValidationError
 from .filtering import FilterSolution, solve_filter
-from .linalg import SystemModel, _as_int, as_matrix, require_symmetric, symmetric_factor
+from .linalg import SystemModel, _as_int, _as_size, as_matrix, require_symmetric, symmetric_factor
 from .network import NetworkModel
 from .privacy import PrivacyConfig
 from .rng import STREAM_INIT, STREAM_PRIVACY, STREAM_PROCESS, gaussian_generator
@@ -75,14 +74,10 @@ class SimulationConfig:
     x0_cov: np.ndarray | None = None
 
     def __post_init__(self):
-        # sizes above sys.maxsize cannot index an array; the seed is taken mod 2**64
+        # the seed is taken mod 2**64
         _as_int(self.seed, "seed")
-        for name in ("horizon_T", "trials"):
-            value = _as_int(getattr(self, name), name)
-            if value < 1:
-                raise ValidationError(f"{name} must be >= 1, got {value}")
-            if value > sys.maxsize:
-                raise ValidationError(f"{name} must be <= {sys.maxsize}, got {value}")
+        _as_size(self.horizon_T, "horizon_T")
+        _as_size(self.trials, "trials")
         if not isinstance(self.system, (SystemModel, NetworkModel)):
             raise ValidationError(f"system must be a SystemModel or NetworkModel, got {type(self.system).__name__}")
         if not isinstance(self.privacy, (PrivacyConfig, type(None))):

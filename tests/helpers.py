@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from dpkalman import (
     CalibrationTarget,
@@ -21,6 +22,20 @@ CASE_W = 10.0 * np.eye(2)
 
 def case_study_system() -> SystemModel:
     return SystemModel(H=CASE_H, C=CASE_C, W=CASE_W, x0_hat=np.zeros(2))
+
+
+def any_scalar():
+    """Strategy for what a caller might pass as a real parameter.
+
+    Numbers in and out of every domain, NaN and the infinities, an int past
+    float range, a bool, numeric and other strings, None, a list, and numpy
+    scalars.
+    """
+    return st.one_of(
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.integers(-3, 3),
+        st.sampled_from([10**400, True, "1", "x", None, [0.001], np.float64(0.01), np.int64(2)]),
+    )
 
 
 def random_diagonal_system(rng: np.random.Generator, n_max: int = 4):

@@ -1,12 +1,15 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dpkalman.linalg
 from dpkalman import CalibrationTarget, calibrate_aposteriori, calibrate_apriori, verify_calibration
 from dpkalman.calibration import APOSTERIORI, APRIORI
-from dpkalman.errors import InvalidTargetError
-from helpers import case_study_system, random_feasible_pair
+from dpkalman.errors import DPKalmanError, InvalidTargetError
+from helpers import any_scalar, case_study_system, random_feasible_pair
 
 
 def target(kind, B_l, B_u, delta=0.001, adjacency_B=1.0):
@@ -107,6 +110,25 @@ class TestVerification:
         t = target(APOSTERIORI, 1.8, 100.0)
         doc = verify_calibration(case_study_system(), t, 0.9).to_dict()
         assert set(doc) == {"sigma", "achieved_trace", "within_bounds"}
+
+
+class TestMalformedInputs:
+    @given(field=st.sampled_from([None, "B_l", "B_u", "delta", "adjacency_B"]), value=any_scalar(),
+           epsilon=any_scalar())
+    @settings(max_examples=60, deadline=None)
+    def test_target_and_verify_success_or_library_error(self, field, value, epsilon):
+        # a valid target with at most one field replaced, checked at any
+        # epsilon: a result or a DPKalmanError, never a traceback. A tiny
+        # epsilon needs more Riccati passes than the lowered cap and raises
+        # NoConvergenceError, as it does under the full cap, only sooner.
+        kwargs = dict(kind=APRIORI, B_l=21.0, B_u=2000.0, delta=0.001, adjacency_B=1.0)
+        if field is not None:
+            kwargs[field] = value
+        with mock.patch.object(dpkalman.linalg, "DARE_MAX_ITERATIONS", 500):
+            try:
+                verify_calibration(case_study_system(), CalibrationTarget(**kwargs), epsilon)
+            except DPKalmanError:
+                pass
 
 
 class TestSufficiencySweep:

@@ -11,7 +11,8 @@ import pytest
 
 import dpkalman
 from dpkalman.cli import main
-from dpkalman.config import CalibrationSpec, PrivacySpec, SimulationSpec, loads_config
+from dpkalman.config import CalibrationSpec, PrivacySpec, SimulationSpec, load_config, loads_config
+from dpkalman.errors import ConfigError
 
 LN3 = math.log(3.0)
 
@@ -50,6 +51,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def cli_env():
+    # the environment of a fresh interpreter that imports this dpkalman
+    src = str(Path(dpkalman.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def run_process(*argv):
+    # the CLI in a fresh interpreter, so stderr holds what a user sees,
+    # warnings and tracebacks included
+    return subprocess.run([sys.executable, "-m", "dpkalman.cli", *argv],
+                          capture_output=True, text=True, env=cli_env(), timeout=120)
 
 
 class TestCalibrateCommand:
@@ -543,6 +557,34 @@ class TestLargePlant:
         assert report["intermediates"]["det_w"] is None
 
 
+class TestQuietStderr:
+    def test_large_plant_bounds_warn_nothing(self, write_config):
+        # det W = 100**160 is past float range: det_w reads null, and numpy's
+        # overflow warning must not reach stderr
+        n = 160
+        diag = lambda v: matrix(n, n, np.diag(np.full(n, v)).tolist())
+        doc = case_study_doc()
+        doc["system"] = {"H": diag(0.5), "C": diag(1.0), "W": diag(100.0), "x0_hat": [0.0] * n}
+        proc = run_process("bounds", "--config", write_config(doc), "--json")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert strict_json(proc.stdout)["apriori_logdet"]["intermediates"]["det_w"] is None
+
+
+class TestUndecodableConfig:
+    @pytest.mark.parametrize("content", [b"[" * 100_000 + b"]" * 100_000, b"\xff\xfe{\x00}\x00"],
+                             ids=["nested-100000-deep", "utf16-bom"])
+    def test_config_error_exits_one(self, content, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError):
+            load_config(path)
+        proc = run_process("bounds", "--config", str(path), "--json")
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 class TestJsonPurity:
     @pytest.mark.parametrize(
         "command,extra",
@@ -581,8 +623,7 @@ class TestClosedStdout:
         doc = case_study_doc(calibration=calibration) if calibration else case_study_doc()
         path = write_config(doc)
         args = [path if arg == "CONFIG" else arg for arg in args]
-        src = str(Path(dpkalman.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = cli_env()
         env.pop("PYTHONUNBUFFERED", None)
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"

@@ -144,6 +144,19 @@ class TestSolveDare:
         with pytest.raises(NoConvergenceError, match=r"within 50 iterations \(residual \d\.\d{3}e-\d+\)"):
             solve_dare(system, V)
 
+    def test_non_finite_iterate_stops_at_once(self, monkeypatch):
+        # W = 1e308 overflows the first map: the solver stops there rather
+        # than running DARE_MAX_ITERATIONS passes on NaN
+        passes = []
+        riccati_pass = dpkalman.linalg._riccati_pass
+        monkeypatch.setattr(dpkalman.linalg, "_riccati_pass", lambda *a: passes.append(1) or riccati_pass(*a))
+        with np.errstate(over="ignore", invalid="ignore"):
+            system = SystemModel(H=[[1.0]], C=[[1.0]], W=[[1e308]], x0_hat=[0.0])
+            sigma = PrivacyConfig.for_system(system, epsilon=1.0, delta=0.01, adjacency_B=1.0).sigma
+            with pytest.raises(NoConvergenceError, match=r"after 0 iterations \(residual nan\)"):
+                solve_dare(system, np.diag(sigma**2))
+        assert len(passes) == 1
+
     @pytest.mark.parametrize("epsilon,iterations", [(math.log(3.0), 14), (1e-3, 514)])
     def test_case_study_iteration_count(self, epsilon, iterations):
         # the fixed-point counts of the case study at the paper's epsilon and

@@ -7,10 +7,10 @@ from scipy.stats import norm
 
 import dpkalman.privacy
 from dpkalman import PrivacyConfig, ValidationError, privatize
-from dpkalman.errors import NonPositiveSigmaError, OutOfDomainError
+from dpkalman.errors import DPKalmanError, NonPositiveSigmaError, OutOfDomainError
 from dpkalman.privacy import gaussian_sigma, noise_scales, q_inverse, sensitivity_bound
 from dpkalman.rng import STREAM_PRIVACY, gaussian_generator
-from helpers import case_study_system
+from helpers import any_scalar, case_study_system
 
 LN3 = math.log(3.0)
 
@@ -267,3 +267,42 @@ class TestNoiseScales:
         vec, compliant = self.scales(0.0)
         np.testing.assert_array_equal(vec, [0.0, 0.0])
         assert compliant is False
+
+
+_SCALES = st.one_of(any_scalar(), st.lists(st.one_of(st.floats(0.0, 10.0), any_scalar()), max_size=3))
+
+
+class TestMalformedInputs:
+    # every outcome is a result or a DPKalmanError, never a Python or numpy
+    # traceback
+    @given(epsilon=any_scalar(), delta=any_scalar(), adjacency_B=any_scalar(),
+           sigma=st.one_of(st.none(), _SCALES))
+    @settings(max_examples=60, deadline=None)
+    def test_for_system(self, epsilon, delta, adjacency_B, sigma):
+        try:
+            PrivacyConfig.for_system(case_study_system(), epsilon, delta, adjacency_B, sigma)
+        except DPKalmanError:
+            pass
+
+    @given(epsilon=any_scalar(), delta=any_scalar(), adjacency_B=any_scalar(),
+           sensitivity=any_scalar(), sigma=_SCALES)
+    @settings(max_examples=60, deadline=None)
+    def test_direct_construction(self, epsilon, delta, adjacency_B, sensitivity, sigma):
+        try:
+            PrivacyConfig(epsilon=epsilon, delta=delta, adjacency_B=adjacency_B,
+                          sensitivity=sensitivity, sigma=sigma)
+        except DPKalmanError:
+            pass
+
+    @given(y=st.one_of(any_scalar(), st.lists(st.lists(st.one_of(st.floats(-1e3, 1e3), any_scalar()),
+                                                       max_size=3), max_size=4)),
+           sigma=_SCALES,
+           rng_seed=st.one_of(st.integers(-5, 2**70), any_scalar()),
+           stream_index=st.one_of(st.integers(-2, 2**70), any_scalar()))
+    @settings(max_examples=60, deadline=None)
+    def test_privatize(self, y, sigma, rng_seed, stream_index):
+        with np.errstate(over="ignore"):
+            try:
+                privatize(y, sigma, rng_seed, stream_index=stream_index)
+            except DPKalmanError:
+                pass
