@@ -1,10 +1,13 @@
 """Analytic bounds on what a recipient of privatized outputs can infer.
 
-All four reports bound steady-state error covariances of the filter through
-the per-channel signal-to-noise ratios C_ii^2 / sigma_i^2. They require a
-square, diagonal output matrix. Trace bounds cover the mean squared error of
-prediction and estimation; log-determinant bounds cover the differential
-entropy of the corresponding error up to fixed additive/multiplicative terms.
+All four reports follow from one window on the steady-state estimation
+covariance, s0 I <= Sigma_bar <= s1 I, set by the strongest (u) and weakest
+(l) of the per-channel signal-to-noise ratios C_ii^2 / sigma_i^2:
+s0 = sigma_u^2 / (sigma_u^2 / lambda_min(W) + C_u^2) and s1 = sigma_l^2 / C_l^2.
+They require a square, diagonal output matrix. Trace bounds cover the mean
+squared error of prediction and estimation; log-determinant bounds cover the
+differential entropy of the corresponding error up to fixed
+additive/multiplicative terms.
 
 The upper log-determinant bound on the prediction covariance holds only under
 a spectral precondition on H; when that precondition fails, the report is
@@ -14,7 +17,7 @@ marked inapplicable and carries the (always valid) lower bound alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 import numpy as np
 
@@ -29,9 +32,18 @@ APRIORI_LOGDET = "apriori_logdet"
 APOSTERIORI_LOGDET = "aposteriori_logdet"
 
 
-def json_number(x: float) -> float | None:
-    """``x`` as a float, or ``None`` (JSON null) when it is not finite."""
-    return float(x) if math.isfinite(x) else None
+def to_json(value):
+    """``value`` as JSON values: a dataclass or dict becomes an object, a
+    tuple, list or array a list, and a float that is not finite null."""
+    if is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key: to_json(v) for key, v in value.items()}
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return [to_json(v) for v in value]
+    if isinstance(value, np.generic):  # a numpy scalar as its Python number
+        value = value.item()
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 @dataclass(frozen=True)
@@ -61,17 +73,11 @@ class BoundReport:
     intermediates: dict[str, float]
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "lower": float(self.lower),
-            "upper": None if self.upper is None else json_number(self.upper),
-            "applicable": bool(self.applicable),
-            "intermediates": {k: json_number(v) for k, v in self.intermediates.items()},
-        }
+        return to_json(self)
 
 
 def channel_extremes(C, sigma) -> ChannelExtremes:
-    """Locate the extreme ratios C_ii^2 / sigma_i^2 of a diagonal output map.
+    """Locate the extreme ratios |C_ii / sigma_i| of a diagonal output map.
 
     Ties break toward the lowest channel index.
     """
@@ -90,7 +96,8 @@ def channel_extremes(C, sigma) -> ChannelExtremes:
     sigma = as_vector(sigma, "sigma", length=C.shape[0])
     if np.any(sigma <= 0.0):
         raise NonPositiveSigmaError("all noise scales must be strictly positive")
-    ratios = diag**2 / sigma**2
+    with np.errstate(over="ignore"):  # an overflowing |C_ii / sigma_i| orders as inf
+        ratios = np.abs(diag / sigma)
     l = int(np.argmin(ratios))
     u = int(np.argmax(ratios))
     return ChannelExtremes(
@@ -100,81 +107,75 @@ def channel_extremes(C, sigma) -> ChannelExtremes:
 
 
 def _inputs(system: SystemModel, sigma):
-    # What every report reads: sigma_u^2, sigma_l^2, C_u^2 and C_l^2 of the
-    # extreme channels, lambda_min(W), lambda_max(W), tr W, and the channel
-    # intermediates. It checks sigma through channel_extremes.
+    # What every report reads: the window ends s0 and s1 (module docstring),
+    # lambda_min(W), lambda_max(W), tr W, and the channel intermediates; it
+    # checks sigma through channel_extremes. The ratios r = C_ii / sigma_i are
+    # squared, not the scales, so no scale in float range overflows to a NaN:
+    # s0 = lambda_min(W) / (1 + lambda_min(W) r_u^2), and s1 = 1 / r_l^2 is
+    # infinite when the weakest channel is silent.
     ext = channel_extremes(system.C, sigma)
     w = np.linalg.eigvalsh(system.W)
+    lam_min_w = float(w[0])
+    r_u = ext.c_u / ext.sigma_u
+    s0 = lam_min_w / (1.0 + lam_min_w * (r_u * r_u))
+    s1 = math.inf if ext.c_l == 0.0 else (ext.sigma_l / ext.c_l) * (ext.sigma_l / ext.c_l)
     channels = {"c_l": ext.c_l, "c_u": ext.c_u, "sigma_l": ext.sigma_l, "sigma_u": ext.sigma_u}
-    return (ext.sigma_u**2, ext.sigma_l**2, ext.c_u**2, ext.c_l**2, float(w[0]), float(w[-1]),
-            float(np.trace(system.W)), channels)
+    return s0, s1, lam_min_w, float(w[-1]), float(np.trace(system.W)), channels
+
+
+def _log(x: float) -> float:
+    # log of a window end, -inf where it underflowed to 0
+    return math.log(x) if x > 0.0 else -math.inf
 
 
 def apriori_trace_bounds(system: SystemModel, sigma) -> BoundReport:
     """Bounds on the steady-state mean squared prediction error (tr of the
-    prediction covariance)."""
-    su2, sl2, cu2, cl2, lam_min_w, _, tr_w, channels = _inputs(system, sigma)
+    prediction covariance): tr W + tr(H^T H) s0 and tr W + tr(H^T H) s1."""
+    s0, s1, lam_min_w, _, tr_w, channels = _inputs(system, sigma)
     tr_hth = float(np.sum(system.H * system.H))
-    lower = tr_w + su2 * tr_hth * lam_min_w / (su2 + lam_min_w * cu2)
-    upper = math.inf if cl2 == 0.0 else tr_w + sl2 * tr_hth / cl2
-    return BoundReport(
-        kind=APRIORI_TRACE,
-        lower=lower,
-        upper=upper,
-        applicable=True,
-        intermediates={"tr_w": tr_w, "tr_hth": tr_hth, "lambda_min_w": lam_min_w, **channels},
-    )
+    # infinite, not NaN, when tr(H^T H) = 0 meets s1 = inf
+    upper = math.inf if s1 == math.inf else tr_w + tr_hth * s1
+    return BoundReport(APRIORI_TRACE, tr_w + tr_hth * s0, upper, True,
+                       {"tr_w": tr_w, "tr_hth": tr_hth, "lambda_min_w": lam_min_w, **channels})
 
 
 def aposteriori_trace_bounds(system: SystemModel, sigma) -> BoundReport:
     """Bounds on the steady-state mean squared estimation error (tr of the
-    estimation covariance)."""
-    su2, sl2, cu2, cl2, lam_min_w, _, _, channels = _inputs(system, sigma)
+    estimation covariance): n s0 and n s1."""
+    s0, s1, lam_min_w, _, _, channels = _inputs(system, sigma)
     n = system.n
-    lower = n * su2 / (cu2 + su2 / lam_min_w)
-    upper = math.inf if cl2 == 0.0 else n * sl2 / cl2
-    return BoundReport(
-        kind=APOSTERIORI_TRACE,
-        lower=lower,
-        upper=upper,
-        applicable=True,
-        intermediates={"n": float(n), "lambda_min_w": lam_min_w, **channels},
-    )
+    return BoundReport(APOSTERIORI_TRACE, n * s0, n * s1, True,
+                       {"n": float(n), "lambda_min_w": lam_min_w, **channels})
 
 
 def apriori_logdet_bounds(system: SystemModel, sigma) -> BoundReport:
     """Bounds on the log-determinant of the prediction error covariance.
 
-    The upper bound requires s1(H)^2 < 1 + eta * C_l^2 / sigma_l^2 with
+    The upper bound requires ||H||_2^2 < 1 + eta / s1 with
     eta = s_n(H)^2 * max_i gamma_i + lambda_min(W). The lower bound,
-    log(det(H)^2 s0^n + det W) with s0 = sigma_u^2 / (sigma_u^2 / lambda_min(W)
-    + C_u^2), needs no precondition and is always reported. The ``det_h`` and
-    ``det_w`` intermediates are taken from the log-determinants.
+    log(det(H)^2 s0^n + det W), needs no precondition and is always reported.
+    The ``det_h`` and ``det_w`` intermediates are taken from the
+    log-determinants.
     """
-    su2, sl2, cu2, cl2, lam_min_w, lam_max_w, tr_w, channels = _inputs(system, sigma)
+    s0, s1, lam_min_w, lam_max_w, tr_w, channels = _inputs(system, sigma)
     n = system.n
-    c_diag = np.diag(system.C)
     w_diag = np.diag(system.W)
-    sig2 = np.asarray(sigma, dtype=float) ** 2  # checked by _inputs
-    gammas = sig2 * w_diag / (sig2 + c_diag**2 * w_diag)
     s = np.linalg.svd(system.H, compute_uv=False)
-    eta = float(s[-1] ** 2 * gammas.max() + lam_min_w)
     sign_h, logdet_h = np.linalg.slogdet(system.H)
     logdet_w = np.linalg.slogdet(system.W)[1]
-    with np.errstate(over="ignore"):  # past float range they read null
+    with np.errstate(over="ignore"):  # past float range a ratio is inf, a det null
+        ratios = np.diag(system.C) / np.asarray(sigma, dtype=float)  # sigma checked by _inputs
+        gammas = w_diag / (1.0 + w_diag * (ratios * ratios))
         det_h, det_w = float(sign_h * np.exp(logdet_h)), float(np.exp(logdet_w))
+    eta = float(s[-1] ** 2 * gammas.max() + lam_min_w)
     lhs = float(s[0] ** 2)
-    rhs = 1.0 + eta * cl2 / sl2
+    rhs = 1.0 + eta / s1 if s1 > 0.0 else math.inf
     applicable = lhs < rhs
     # the estimation covariance dominates s0 * I, so with det(A + B) >=
     # det A + det B for A, B >= 0: det(H Sigma_bar H^T + W) >= det(H)^2 s0^n + det W,
     # summed in log space so that neither term under- or overflows at large n
-    s0 = su2 / (su2 / lam_min_w + cu2)
-    lower = float(np.logaddexp(2.0 * logdet_h + n * math.log(s0), logdet_w))
-    if applicable:
-        upper = sl2 * lam_max_w / (sl2 + eta * cl2 - sl2 * lhs) * float(np.sum(s**2)) + tr_w
-    else:
-        upper = None
+    lower = float(np.logaddexp(2.0 * logdet_h + n * _log(s0), logdet_w))
+    upper = lam_max_w / (rhs - lhs) * float(np.sum(s**2)) + tr_w if applicable else None
     intermediates = {
         "eta": eta, "lambda_min_w": lam_min_w, "lambda_max_w": lam_max_w,
         "tr_w": tr_w, "tr_hth": float(np.sum(s**2)), "det_h": det_h, "det_w": det_w,
@@ -184,25 +185,16 @@ def apriori_logdet_bounds(system: SystemModel, sigma) -> BoundReport:
         intermediates[f"gamma_{i + 1}"] = float(g)
     for i, si in enumerate(s):
         intermediates[f"s_{i + 1}"] = float(si)
-    return BoundReport(
-        kind=APRIORI_LOGDET, lower=lower, upper=upper,
-        applicable=applicable, intermediates=intermediates,
-    )
+    return BoundReport(APRIORI_LOGDET, lower, upper, applicable, intermediates)
 
 
 def aposteriori_logdet_bounds(system: SystemModel, sigma) -> BoundReport:
-    """Bounds on the log-determinant of the estimation error covariance."""
-    su2, sl2, cu2, cl2, lam_min_w, _, _, channels = _inputs(system, sigma)
+    """Bounds on the log-determinant of the estimation error covariance:
+    n log s0 and n log s1."""
+    s0, s1, lam_min_w, _, _, channels = _inputs(system, sigma)
     n = system.n
-    lower = n * math.log(su2 / (cu2 + su2 / lam_min_w))
-    upper = math.inf if cl2 == 0.0 else n * math.log(sl2 / cl2)
-    return BoundReport(
-        kind=APOSTERIORI_LOGDET,
-        lower=lower,
-        upper=upper,
-        applicable=True,
-        intermediates={"n": float(n), "lambda_min_w": lam_min_w, **channels},
-    )
+    return BoundReport(APOSTERIORI_LOGDET, n * _log(s0), n * _log(s1), True,
+                       {"n": float(n), "lambda_min_w": lam_min_w, **channels})
 
 
 def all_bounds(system: SystemModel, sigma) -> dict[str, BoundReport]:

@@ -14,17 +14,21 @@ outcome, not an error, since the condition is sufficient rather than tight.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _inputs, json_number
+from .bounds import _inputs, to_json
 from .errors import DegenerateSystemError, InvalidTargetError, OutOfDomainError
 from .linalg import SystemModel, _as_real, solve_dare
 from .privacy import gaussian_sigma, sensitivity_bound
 
 APRIORI = "apriori"
 APOSTERIORI = "aposteriori"
+
+# Per target kind: the names of eta_lo and eta_hi, and the solved covariance
+# (prediction or estimation) whose trace the target bounds.
+_KINDS = {APRIORI: ("eta1", "eta3", "sigma"), APOSTERIORI: ("eta2", "eta4", "sigma_bar")}
 
 DELTA_MIN = 1e-5
 DELTA_MAX = 1e-1
@@ -43,7 +47,7 @@ class CalibrationTarget:
     def __post_init__(self):
         for name in ("B_l", "B_u", "delta", "adjacency_B"):
             _as_real(getattr(self, name), name)
-        if self.kind not in (APRIORI, APOSTERIORI):
+        if self.kind not in tuple(_KINDS):  # a tuple, since a kind may be unhashable
             raise InvalidTargetError(f"kind must be '{APRIORI}' or '{APOSTERIORI}', got {self.kind!r}")
         if not self.B_l < self.B_u:
             raise InvalidTargetError(f"target needs B_l < B_u, got [{self.B_l}, {self.B_u}]")
@@ -69,20 +73,12 @@ class EpsilonInterval:
     eps_min: float
     eps_max: float
     feasible: bool
-    eta_values: dict[str, float] = field(default_factory=dict)
-    sigma_at_eps_min: float = 0.0
-    sigma_at_eps_max: float = 0.0
+    eta_values: dict[str, float]
+    sigma_at_eps_min: float
+    sigma_at_eps_max: float
 
     def to_dict(self) -> dict:
-        # non-finite endpoints (degenerate output channels) become null
-        return {
-            "eps_min": json_number(self.eps_min),
-            "eps_max": json_number(self.eps_max),
-            "feasible": bool(self.feasible),
-            "eta_values": {k: float(v) for k, v in self.eta_values.items()},
-            "sigma_at_eps_min": float(self.sigma_at_eps_min),
-            "sigma_at_eps_max": float(self.sigma_at_eps_max),
-        }
+        return to_json(self)
 
 
 @dataclass(frozen=True)
@@ -94,32 +90,17 @@ class CalibrationVerification:
     within_bounds: bool
 
     def to_dict(self) -> dict:
-        return {
-            "sigma": float(self.sigma),
-            "achieved_trace": float(self.achieved_trace),
-            "within_bounds": bool(self.within_bounds),
-        }
+        return to_json(self)
 
 
 def _epsilon_floor(eta: float) -> float:
+    # 0.125 ((1 + sqrt(36 eta + 1)) / eta)^2, written in t = 1 / eta so that
+    # no eta in (0, inf] overflows to a NaN
     if eta <= 0.0:
         return math.inf
-    return 0.125 * ((1.0 + math.sqrt(36.0 * eta + 1.0)) / eta) ** 2
-
-
-def _interval(eta_lo: float, eta_hi: float, names: tuple[str, str],
-              delta: float, sensitivity: float) -> EpsilonInterval:
-    # eta_lo drives eps_max (lower target bound), eta_hi drives eps_min.
-    eps_min = _epsilon_floor(eta_hi)
-    eps_max = math.inf if eta_lo == 0.0 else 1.0 / eta_lo
-    return EpsilonInterval(
-        eps_min=eps_min,
-        eps_max=eps_max,
-        feasible=eps_min <= eps_max,
-        eta_values={names[0]: eta_lo, names[1]: eta_hi},
-        sigma_at_eps_min=gaussian_sigma(eps_min, delta, sensitivity) if math.isfinite(eps_min) else 0.0,
-        sigma_at_eps_max=gaussian_sigma(eps_max, delta, sensitivity) if math.isfinite(eps_max) else 0.0,
-    )
+    t = 1.0 / eta
+    root = t + math.sqrt(36.0 * t + t * t)
+    return 0.125 * (root * root)
 
 
 def _sensitivity_for(system: SystemModel, target: CalibrationTarget) -> float:
@@ -129,43 +110,58 @@ def _sensitivity_for(system: SystemModel, target: CalibrationTarget) -> float:
     return sens
 
 
+def _calibrate(system: SystemModel, target: CalibrationTarget, kind: str) -> EpsilonInterval:
+    # Both trace bounds read offset + scale * s with s0 <= s <= s1, so each
+    # target maps to per-dimension targets b = (B - offset) / scale and
+    # inverts through the same etas; a target is admissible iff
+    # 0 < b_l < lambda_min(W). The sensitivity divides after the square
+    # root, so no radius in float range overflows.
+    if target.kind != kind:
+        raise InvalidTargetError(f"target kind is {target.kind!r}, expected '{kind}'")
+    sens = _sensitivity_for(system, target)
+    _, _, lam_min_w, _, tr_w, channels = _inputs(system, np.ones(system.n))
+    if kind == APRIORI:
+        offset, scale = tr_w, float(np.sum(system.H * system.H))
+        if scale == 0.0:
+            raise DegenerateSystemError("tr(H^T H) is zero; the prediction MSE cannot exceed tr W")
+        if target.B_l <= tr_w:
+            raise InvalidTargetError(f"B_l = {target.B_l} must exceed tr W = {tr_w}")
+        reach = "tr W + tr(H^T H) * lambda_min(W)"
+    else:
+        offset, scale, reach = 0.0, float(system.n), "n * lambda_min(W)"
+    b_l, b_u = (target.B_l - offset) / scale, (target.B_u - offset) / scale
+    if not b_l < lam_min_w:
+        raise InvalidTargetError(
+            f"B_l = {target.B_l} must stay below {reach} = {offset + scale * lam_min_w}"
+        )
+    cu2 = channels["c_u"] * channels["c_u"]
+    cl2 = channels["c_l"] * channels["c_l"]
+    # eta_lo drives eps_max (lower target bound), eta_hi drives eps_min
+    eta_lo = math.sqrt(b_l * lam_min_w * cu2 / (lam_min_w - b_l)) / sens
+    eta_hi = math.sqrt(b_u * cl2) / sens
+    eps_min = _epsilon_floor(eta_hi)
+    eps_max = math.inf if eta_lo == 0.0 else 1.0 / eta_lo
+    # the noise at each end; gaussian_sigma gives 0 at an infinite epsilon,
+    # and epsilon 0 takes infinite noise
+    sigmas = [gaussian_sigma(eps, target.delta, sens) if eps > 0.0 else math.inf
+              for eps in (eps_min, eps_max)]
+    lo_name, hi_name, _ = _KINDS[kind]
+    return EpsilonInterval(eps_min, eps_max, eps_min <= eps_max,
+                           {lo_name: eta_lo, hi_name: eta_hi}, *sigmas)
+
+
 def calibrate_apriori(system: SystemModel, target: CalibrationTarget) -> EpsilonInterval:
     """Epsilon interval keeping the steady-state prediction MSE in [B_l, B_u]."""
-    if target.kind != APRIORI:
-        raise InvalidTargetError(f"target kind is {target.kind!r}, expected '{APRIORI}'")
-    sens = _sensitivity_for(system, target)
-    _, _, cu2, cl2, lam_min_w, _, tr_w, _ = _inputs(system, np.ones(system.n))
-    tr_hth = float(np.sum(system.H * system.H))
-    if tr_hth == 0.0:
-        raise DegenerateSystemError("tr(H^T H) is zero; the prediction MSE cannot exceed tr W")
-    if target.B_l <= tr_w:
-        raise InvalidTargetError(f"B_l = {target.B_l} must exceed tr W = {tr_w}")
-    denom = tr_hth * lam_min_w - target.B_l + tr_w
-    if denom <= 0.0:
-        raise InvalidTargetError(
-            f"B_l = {target.B_l} must stay below tr W + tr(H^T H) * lambda_min(W) = "
-            f"{tr_w + tr_hth * lam_min_w}"
-        )
-    eta1 = math.sqrt((target.B_l - tr_w) * lam_min_w * cu2 / (sens**2 * denom))
-    eta3 = math.sqrt((target.B_u - tr_w) * cl2 / (sens**2 * tr_hth))
-    return _interval(eta1, eta3, ("eta1", "eta3"), target.delta, sens)
+    return _calibrate(system, target, APRIORI)
 
 
 def calibrate_aposteriori(system: SystemModel, target: CalibrationTarget) -> EpsilonInterval:
     """Epsilon interval keeping the steady-state estimation MSE in [B_l, B_u]."""
-    if target.kind != APOSTERIORI:
-        raise InvalidTargetError(f"target kind is {target.kind!r}, expected '{APOSTERIORI}'")
-    sens = _sensitivity_for(system, target)
-    _, _, cu2, cl2, lam_min_w, _, _, _ = _inputs(system, np.ones(system.n))
-    n = system.n
-    denom = n - target.B_l / lam_min_w
-    if denom <= 0.0:
-        raise InvalidTargetError(
-            f"B_l = {target.B_l} must stay below n * lambda_min(W) = {n * lam_min_w}"
-        )
-    eta2 = math.sqrt(target.B_l * cu2 / (sens**2 * denom))
-    eta4 = math.sqrt(target.B_u * cl2 / (n * sens**2))
-    return _interval(eta2, eta4, ("eta2", "eta4"), target.delta, sens)
+    return _calibrate(system, target, APOSTERIORI)
+
+
+# The calibrator of each target kind, in the order the CLI lists them.
+CALIBRATORS = {APRIORI: calibrate_apriori, APOSTERIORI: calibrate_aposteriori}
 
 
 def verify_calibration(system: SystemModel, target: CalibrationTarget,
@@ -183,11 +179,7 @@ def verify_calibration(system: SystemModel, target: CalibrationTarget,
     sigma = gaussian_sigma(epsilon, target.delta, sens)
     with np.errstate(over="ignore", invalid="ignore"):  # solve_dare rejects a variance past float range
         V = np.float64(sigma) ** 2 * np.eye(system.q)
-    ric = solve_dare(system, V)
-    if target.kind == APRIORI:
-        achieved = float(np.trace(ric.sigma))
-    else:
-        achieved = float(np.trace(ric.sigma_bar))
+    achieved = float(np.trace(getattr(solve_dare(system, V), _KINDS[target.kind][2])))
     return CalibrationVerification(
         sigma=sigma,
         achieved_trace=achieved,

@@ -19,13 +19,8 @@ import sys
 
 import numpy as np
 
-from .bounds import all_bounds, json_number
-from .calibration import (
-    APRIORI,
-    CalibrationTarget,
-    calibrate_aposteriori,
-    calibrate_apriori,
-)
+from .bounds import all_bounds, to_json
+from .calibration import CALIBRATORS, CalibrationTarget
 from .config import build_agents, build_privacy, load_config
 from .errors import (
     ConfigError,
@@ -62,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("calibrate", "select an epsilon interval for a target MSE range", _cmd_calibrate)
-    p.add_argument("--kind", choices=["apriori", "aposteriori"], help="override the configured target kind")
+    p.add_argument("--kind", choices=list(CALIBRATORS), help="override the configured target kind")
 
     add("bounds", "evaluate all four error/entropy bound reports", _cmd_bounds)
 
@@ -114,12 +109,17 @@ def _stdout_reader_may_close():
         os.close(devnull)
 
 
+def _dumps(doc: dict) -> str:
+    # one strict JSON document: a non-finite value the JSON rule missed fails here
+    return json.dumps(to_json(doc), indent=2, allow_nan=False)
+
+
 def _emit(doc: dict, as_json: bool) -> None:
     with _stdout_reader_may_close():
         if as_json:
-            print(json.dumps(doc, indent=2))
+            print(_dumps(doc))
         else:
-            _print_human(doc)
+            _print_human(to_json(doc))
 
 
 def _need(section, name: str):
@@ -138,10 +138,7 @@ def _cmd_calibrate(args) -> int:
         kind=kind, B_l=cal.B_l, B_u=cal.B_u,
         delta=privacy.delta, adjacency_B=privacy.adjacency_B,
     )
-    if kind == APRIORI:
-        interval = calibrate_apriori(system, target)
-    else:
-        interval = calibrate_aposteriori(system, target)
+    interval = CALIBRATORS[kind](system, target)
     doc = {"kind": kind, "B_l": cal.B_l, "B_u": cal.B_u, **interval.to_dict()}
     _emit(doc, args.json)
     if not interval.feasible:
@@ -161,31 +158,24 @@ def _system_and_scales(args):
 
 def _cmd_bounds(args) -> int:
     system, sigma, compliant = _system_and_scales(args)
-    reports = all_bounds(system, sigma)
-    doc = {kind: rep.to_dict() for kind, rep in reports.items()}
-    doc["sigma"] = [float(s) for s in sigma]
-    doc["privacy_compliant"] = compliant
-    _emit(doc, args.json)
+    _emit({**all_bounds(system, sigma), "sigma": sigma, "privacy_compliant": compliant}, args.json)
     return EXIT_OK
 
 
 def _riccati_summary(ric) -> dict:
-    _, logdet_prior = np.linalg.slogdet(ric.sigma)
-    _, logdet_post = np.linalg.slogdet(ric.sigma_bar)
     return {
-        "trace_prior": float(np.trace(ric.sigma)),
-        "trace_posterior": float(np.trace(ric.sigma_bar)),
-        "logdet_prior": float(logdet_prior),
-        "logdet_posterior": float(logdet_post),
-        "iterations": int(ric.iterations),
-        "residual": float(ric.residual),
+        "trace_prior": np.trace(ric.sigma),
+        "trace_posterior": np.trace(ric.sigma_bar),
+        "logdet_prior": np.linalg.slogdet(ric.sigma)[1],
+        "logdet_posterior": np.linalg.slogdet(ric.sigma_bar)[1],
+        "iterations": ric.iterations,
+        "residual": ric.residual,
     }
 
 
 def _cmd_dare(args) -> int:
     system, sigma, compliant = _system_and_scales(args)
-    doc = _riccati_summary(solve_dare(system, np.diag(sigma**2)))
-    doc["privacy_compliant"] = compliant
+    doc = {**_riccati_summary(solve_dare(system, np.diag(sigma**2))), "privacy_compliant": compliant}
     _emit(doc, args.json)
     return EXIT_OK
 
@@ -208,13 +198,11 @@ def _cmd_simulate(args) -> int:
     if args.out:
         write_csv(result, args.out)
         print(f"wrote {result.trials * result.horizon_T} rows to {args.out}", file=sys.stderr)
-    doc = result.summary.to_dict()
-    doc["seed"] = int(result.seed)
-    doc["bound_prior"] = [json_number(b) for b in result.bound_prior]
-    doc["bound_post"] = [json_number(b) for b in result.bound_post]
+    doc = {**result.summary.to_dict(), "seed": result.seed,
+           "bound_prior": result.bound_prior, "bound_post": result.bound_post}
     if args.summary:
         with open(args.summary, "w", encoding="ascii", newline="") as fh:
-            fh.write(json.dumps(doc, indent=2) + "\n")
+            fh.write(_dumps(doc) + "\n")
     _emit(doc, args.json)
     return EXIT_OK
 
@@ -241,11 +229,9 @@ def _cmd_compose(args) -> int:
         "riccati": _riccati_summary(sol.riccati),
     }
     try:
-        reports = all_bounds(network.system, network.sigma)
+        doc["bounds"] = all_bounds(network.system, network.sigma)
     except NotDiagonalError:
         pass  # network-level bounds need a diagonal composed C
-    else:
-        doc["bounds"] = {kind: rep.to_dict() for kind, rep in reports.items()}
     _emit(doc, args.json)
     return EXIT_OK
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calibration import APOSTERIORI, APRIORI, CALIBRATORS
 from .errors import ConfigError, ValidationError
 from .linalg import SystemModel, _as_int, _as_real, _as_size
 from .network import AgentSpec
@@ -149,8 +150,8 @@ def _parse_calibration(obj, context: str) -> CalibrationSpec:
     obj = _require_mapping(obj, context)
     _check_keys(obj, {"kind", "B_l", "B_u"}, set(), context)
     kind = obj["kind"]
-    if kind not in ("apriori", "aposteriori"):
-        raise ConfigError(f"{context}.kind must be 'apriori' or 'aposteriori', got {kind!r}")
+    if kind not in tuple(CALIBRATORS):  # a tuple, since JSON may give an unhashable list
+        raise ConfigError(f"{context}.kind must be '{APRIORI}' or '{APOSTERIORI}', got {kind!r}")
     return CalibrationSpec(
         kind=kind,
         B_l=_number(obj["B_l"], f"{context}.B_l"),

@@ -36,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import RiccatiSolution, SystemModel, as_matrix, as_vector, solve_dare
+from .linalg import RiccatiSolution, SystemModel, _as_instance, as_matrix, as_vector, solve_dare
 
 # Steps per window of run_filter's scan; a power of two. Longer windows mean
 # fewer window ends but more rounds over the whole trajectory and a wider
@@ -142,6 +142,7 @@ def run_filter(sol: FilterSolution, y_tilde, x0_hat) -> FilterTrajectory:
     docstring): the same filter as the step-by-step recursion, equal to it
     up to rounding in the last bits. The returned arrays are read-only.
     """
+    _as_instance(sol, FilterSolution, "sol")
     y_tilde = as_matrix(y_tilde, "y_tilde")
     if y_tilde.shape[1] != sol.system.q:
         raise DimensionMismatchError(

@@ -76,6 +76,13 @@ def _as_size(value, name: str) -> int:
     return value
 
 
+def _as_instance(value, cls: type, name: str):
+    # value itself if it is a cls, so that no attribute lookup on it fails
+    if not isinstance(value, cls):
+        raise ValidationError(f"{name} must be of type {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _as_real(value, name: str) -> float:
     # a real number other than a bool, as a float; NaN and infinities pass
     if isinstance(value, bool) or not isinstance(value, numbers.Real):

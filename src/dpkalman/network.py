@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, EmptyNetworkError, ValidationError
 from .filtering import FilterSolution
-from .linalg import SystemModel, block_diag
+from .linalg import SystemModel, _as_instance, block_diag
 from .privacy import PrivacyConfig
 
 
@@ -28,9 +28,10 @@ class AgentSpec:
     privacy: PrivacyConfig
 
     def __post_init__(self):
-        if not self.id:
+        if not isinstance(self.id, str) or not self.id:
             raise ValidationError("agent id must be a nonempty string")
-        if self.privacy.sigma.shape[0] != self.system.q:
+        _as_instance(self.system, SystemModel, "agent system")
+        if _as_instance(self.privacy, PrivacyConfig, "agent privacy").sigma.shape[0] != self.system.q:
             raise DimensionMismatchError(
                 f"agent {self.id!r}: privacy has {self.privacy.sigma.shape[0]} noise scales, "
                 f"system has {self.system.q} channels"
@@ -53,7 +54,10 @@ class NetworkModel:
 
 def compose(agents: Sequence[AgentSpec]) -> NetworkModel:
     """Stack agents in order into one block-diagonal system."""
-    agents = tuple(agents)
+    try:
+        agents = tuple(_as_instance(a, AgentSpec, "agent") for a in agents)
+    except TypeError:
+        raise ValidationError(f"agents must be a sequence, got {type(agents).__name__}") from None
     if not agents:
         raise EmptyNetworkError("cannot compose an empty agent list")
     ids = [a.id for a in agents]
@@ -77,8 +81,8 @@ def per_agent_slices(network: NetworkModel, sol: FilterSolution) -> dict[str, tu
 
     Returns {agent id: (prediction trace, estimation trace)}.
     """
-    n = network.system.n
-    if sol.riccati.sigma.shape != (n, n):
+    n = _as_instance(network, NetworkModel, "network").system.n
+    if _as_instance(sol, FilterSolution, "sol").riccati.sigma.shape != (n, n):
         raise DimensionMismatchError(
             f"solution covariance is {sol.riccati.sigma.shape}, network state dimension is {n}"
         )

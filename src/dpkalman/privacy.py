@@ -64,7 +64,10 @@ def gaussian_sigma(epsilon: float, delta: float, sensitivity: float) -> float:
     if math.isinf(epsilon):
         return 0.0
     k = q_inverse(delta)
-    return sensitivity / (2.0 * epsilon) * (k + math.sqrt(k * k + 2.0 * epsilon))
+    if 2.0 * epsilon < math.inf:
+        return sensitivity / (2.0 * epsilon) * (k + math.sqrt(k * k + 2.0 * epsilon))
+    # the same value with 2 epsilon, which overflows, halved inside the root
+    return sensitivity / epsilon * (0.5 * k + math.sqrt(0.25 * k * k + 0.5 * epsilon))
 
 
 def meets_minimum(sigma, minimal: float) -> bool:

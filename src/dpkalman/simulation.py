@@ -35,7 +35,7 @@ from itertools import chain
 
 import numpy as np
 
-from .bounds import aposteriori_trace_bounds, apriori_trace_bounds
+from .bounds import aposteriori_trace_bounds, apriori_trace_bounds, to_json
 from .errors import ValidationError
 from .filtering import FilterSolution, solve_filter
 from .linalg import SystemModel, _as_int, _as_size, as_matrix, require_symmetric, symmetric_factor
@@ -114,15 +114,7 @@ class SimulationSummary:
     burn_in: int
 
     def to_dict(self) -> dict:
-        return {
-            "mean_sq_err_prior": float(self.mean_sq_err_prior),
-            "mean_sq_err_post": float(self.mean_sq_err_post),
-            "stderr_sq_err_prior": float(self.stderr_sq_err_prior),
-            "stderr_sq_err_post": float(self.stderr_sq_err_post),
-            "trials": int(self.trials),
-            "horizon_T": int(self.horizon_T),
-            "burn_in": int(self.burn_in),
-        }
+        return to_json(self)
 
 
 @dataclass(frozen=True, eq=False)

@@ -38,6 +38,11 @@ def any_scalar():
     )
 
 
+def extreme_magnitude():
+    """Strategy for positive floats log-uniform from 1e-320 to 1e300."""
+    return st.floats(-320.0, 300.0).map(lambda e: 10.0**e)
+
+
 def random_diagonal_system(rng: np.random.Generator, n_max: int = 4):
     """Random observable system with diagonal C and SPD W, plus noise scales.
 

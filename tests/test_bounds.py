@@ -1,20 +1,28 @@
+import json
 import math
+import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_discrete_are
 
 from dpkalman import (
+    APOSTERIORI_LOGDET,
+    APOSTERIORI_TRACE,
+    APRIORI_TRACE,
     SystemModel,
+    all_bounds,
     aposteriori_logdet_bounds,
     aposteriori_trace_bounds,
     apriori_logdet_bounds,
     apriori_trace_bounds,
     solve_dare,
 )
-from dpkalman.bounds import channel_extremes
+from dpkalman.bounds import channel_extremes, to_json
 from dpkalman.errors import NonPositiveSigmaError, NotDiagonalError
-from helpers import case_study_system, random_diagonal_system
+from helpers import case_study_system, extreme_magnitude, random_diagonal_system
 
 SIGMA_CASE = 2.966281680892255
 
@@ -193,6 +201,49 @@ class TestReportShape:
     def test_all_intermediates_finite(self):
         rep = apriori_logdet_bounds(case_study_system(), np.ones(2))
         assert all(math.isfinite(v) for v in rep.intermediates.values())
+
+
+class TestJsonRule:
+    def test_objects_lists_and_null(self):
+        @dataclass
+        class Pair:
+            b: tuple
+            a: dict
+
+        doc = to_json(Pair(b=(np.float64(1.5), math.inf), a={"x": np.array([np.nan, 2.0]), "n": np.int64(3),
+                                                             "ok": np.bool_(True), "s": "text"}))
+        assert doc == {"b": [1.5, None], "a": {"x": [None, 2.0], "n": 3, "ok": True, "s": "text"}}
+        assert list(doc) == ["b", "a"]
+        assert [type(v) for v in doc["a"].values()] == [list, int, bool, str]
+
+
+class TestExtremeScales:
+    @given(sigma=st.lists(extreme_magnitude(), min_size=2, max_size=2))
+    @settings(max_examples=80, deadline=None)
+    def test_reports_are_quiet_results(self, sigma):
+        # noise scales from 1e-320 to 1e300: every report is a result with no
+        # NaN, its non-finite values become null, and numpy warns nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = all_bounds(case_study_system(), np.array(sigma))
+        for rep in reports.values():
+            values = [rep.lower, rep.upper, *rep.intermediates.values()]
+            assert not any(v is not None and math.isnan(v) for v in values)
+            json.dumps(rep.to_dict(), allow_nan=False)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_window_limits(self, scale):
+        # vanishing noise pins the estimation error to 0; overwhelming noise
+        # leaves the upper bounds unbounded and the lower ones at the
+        # noiseless-output limit s0 = lambda_min(W)
+        reports = all_bounds(case_study_system(), np.full(2, scale))
+        post = reports[APOSTERIORI_TRACE]
+        if scale < 1.0:
+            assert post.lower == post.upper == 0.0
+            assert reports[APOSTERIORI_LOGDET].upper == -math.inf
+        else:
+            assert post.lower == pytest.approx(20.0) and post.upper == math.inf
+            assert reports[APRIORI_TRACE].upper == math.inf
 
 
 class TestContainmentProperties:

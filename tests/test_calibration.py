@@ -1,3 +1,4 @@
+import json
 import math
 from unittest import mock
 
@@ -7,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 import dpkalman.linalg
 from dpkalman import CalibrationTarget, calibrate_aposteriori, calibrate_apriori, verify_calibration
-from dpkalman.calibration import APOSTERIORI, APRIORI
+from dpkalman.calibration import APOSTERIORI, APRIORI, CALIBRATORS
 from dpkalman.errors import DPKalmanError, InvalidTargetError
-from helpers import any_scalar, case_study_system, random_feasible_pair
+from helpers import any_scalar, case_study_system, extreme_magnitude, random_feasible_pair
 
 
 def target(kind, B_l, B_u, delta=0.001, adjacency_B=1.0):
@@ -129,6 +130,48 @@ class TestMalformedInputs:
                 verify_calibration(case_study_system(), CalibrationTarget(**kwargs), epsilon)
             except DPKalmanError:
                 pass
+
+
+class TestExtremeScales:
+    def test_subnormal_aposteriori_target_is_infeasible(self):
+        # eta_hi near 1e-155 put the epsilon floor past float range
+        interval = calibrate_aposteriori(case_study_system(), target(APOSTERIORI, 1e-320, 1e-310))
+        assert not interval.feasible
+        assert interval.to_dict()["eps_min"] is None
+        assert interval.eps_max == pytest.approx(1.0 / interval.eta_values["eta2"])
+
+    @pytest.mark.parametrize("radius", [1e-200, 1e200])
+    def test_extreme_radius_scales_the_interval(self, radius):
+        # eps_max scales with adjacency_B; past float range the floor reads
+        # infinite and the interval is infeasible
+        base = calibrate_apriori(case_study_system(), target(APRIORI, 21.0, 2000.0))
+        interval = calibrate_apriori(case_study_system(), target(APRIORI, 21.0, 2000.0, adjacency_B=radius))
+        assert interval.eps_max == pytest.approx(base.eps_max * radius, rel=1e-12)
+        if radius < 1.0:
+            assert interval.feasible
+        else:
+            assert interval.eps_min == math.inf and not interval.feasible
+        json.dumps(interval.to_dict(), allow_nan=False)
+
+    @given(kind=st.sampled_from([APRIORI, APOSTERIORI]), adjacency_B=extreme_magnitude(),
+           lower=extreme_magnitude(), width=extreme_magnitude())
+    @settings(max_examples=100, deadline=None)
+    def test_result_or_library_error(self, kind, adjacency_B, lower, width):
+        # B_l = offset + lower, B_u = B_l + width, and adjacency_B log-uniform
+        # from 1e-320 to 1e300: an interval whose non-finite values are null,
+        # or a DPKalmanError, never a traceback; the a-priori offset tr W = 20
+        # keeps about half the lower targets admissible
+        B_l = (20.0 if kind == APRIORI else 0.0) + lower
+        try:
+            interval = CALIBRATORS[kind](case_study_system(), target(kind, B_l, B_l + width,
+                                                                     adjacency_B=adjacency_B))
+        except DPKalmanError:
+            return
+        assert interval.feasible == (interval.eps_min <= interval.eps_max)
+        assert not any(math.isnan(v) for v in (interval.eps_min, interval.eps_max,
+                                                 interval.sigma_at_eps_min, interval.sigma_at_eps_max,
+                                                 *interval.eta_values.values()))
+        json.dumps(interval.to_dict(), allow_nan=False)
 
 
 class TestSufficiencySweep:

@@ -1,18 +1,26 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dpkalman
+import dpkalman.cli
+import dpkalman.linalg
 from dpkalman.cli import main
 from dpkalman.config import CalibrationSpec, PrivacySpec, SimulationSpec, load_config, loads_config
 from dpkalman.errors import ConfigError
+from helpers import extreme_magnitude
 
 LN3 = math.log(3.0)
 
@@ -539,6 +547,86 @@ class TestDegenerateChannel:
         payload = strict_json(out)
         assert payload["bound_prior"][1] is None
         strict_json(summary.read_text())
+
+
+class TestExtremeRadius:
+    @pytest.mark.parametrize("radius", [1e-200, 1e200])
+    @pytest.mark.parametrize("command", ["calibrate", "bounds"])
+    def test_result_not_traceback(self, command, radius, write_config, capsys):
+        # 1e-200 divided by zero and 1e200 overflowed a square; an epsilon
+        # floor past float range reads null and makes the target infeasible
+        doc = case_study_doc()
+        doc["privacy"]["adjacency_B"] = radius
+        code, out, _ = run(capsys, command, "--config", write_config(doc), "--json")
+        payload = strict_json(out)
+        if command == "calibrate" and radius > 1.0:
+            assert code == 2 and payload["eps_min"] is None
+        else:
+            assert code == 0
+
+    def test_stdout_json_rejects_non_finite(self):
+        # a non-finite number the JSON rule let through fails loudly
+        with mock.patch.object(dpkalman.cli, "to_json", lambda doc: doc):
+            with pytest.raises(ValueError):
+                dpkalman.cli._dumps({"x": math.nan})
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "scripts" / "configs"
+
+
+class TestMalformedConfigs:
+    # a bundled config with one field replaced by a malformed or extreme
+    # value, at tiny simulation sizes: every command exits 0-3 with no
+    # traceback and prints nothing or one strict JSON document
+    FIELDS = [
+        ("case_study.json", ("privacy", "adjacency_B")),
+        ("case_study.json", ("privacy", "epsilon")),
+        ("case_study.json", ("privacy", "delta")),
+        ("case_study.json", ("privacy", "sigma")),
+        ("case_study.json", ("calibration", "B_l")),
+        ("case_study.json", ("calibration", "B_u")),
+        ("case_study.json", ("calibration", "kind")),
+        ("case_study.json", ("system", "W", "entries", 0, 0)),
+        ("case_study.json", ("system", "C", "entries", 1, 1)),
+        ("case_study.json", ("system", "H", "entries", 0, 1)),
+        ("case_study.json", ("simulation", "horizon_T")),
+        ("case_study.json", ("simulation", "seed")),
+        ("calibration_infeasible.json", ("calibration", "B_u")),
+        ("network_two_agents.json", ("agents", 0, "privacy", "adjacency_B")),
+        ("network_two_agents.json", ("agents", 1, "system", "W", "entries", 0, 0)),
+        ("network_two_agents.json", ("agents", 1, "id")),
+    ]
+    VALUES = st.one_of(
+        extreme_magnitude(), extreme_magnitude().map(lambda v: -v),
+        st.sampled_from([0, 2, -1, True, None, "x", "aposteriori", [], [1.0, 2.0], {}, 10**400,
+                         math.nan, math.inf]),
+    )
+
+    @given(field=st.sampled_from(FIELDS), value=VALUES,
+           command=st.sampled_from(["calibrate", "bounds", "dare", "simulate", "compose"]))
+    @settings(max_examples=120, deadline=None)
+    def test_exit_code_and_strict_output(self, field, value, command):
+        name, path = field
+        doc = json.loads((CONFIGS / name).read_text())
+        if "simulation" in doc:
+            doc["simulation"].update(horizon_T=3, trials=2)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            config = os.path.join(tmp, "config.json")
+            with open(config, "w") as fh:
+                json.dump(doc, fh)
+            # a lowered cap keeps slow Riccati solves short: NoConvergenceError, exit 3
+            with mock.patch.object(dpkalman.linalg, "DARE_MAX_ITERATIONS", 500), \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, "--config", config, "--json"])
+        assert 0 <= code <= 3
+        assert "Traceback" not in err.getvalue()
+        if out.getvalue():
+            strict_json(out.getvalue())
 
 
 class TestLargePlant:

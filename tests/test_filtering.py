@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpkalman import (
     FilterTrajectory,
@@ -13,7 +14,7 @@ from dpkalman import (
 )
 from dpkalman.errors import DimensionMismatchError
 from dpkalman.filtering import FILTER_WINDOW
-from helpers import case_study_system, reference_paths
+from helpers import any_scalar, case_study_system, reference_paths
 
 LN3 = math.log(3.0)
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -137,6 +138,17 @@ class TestRunFilter:
         sol = solve_filter(case_study_system(), np.full(2, 2.9663))
         with pytest.raises(DimensionMismatchError):
             run_filter(sol, np.zeros((5, 3)), np.zeros(2))
+
+    @given(sol=st.one_of(any_scalar(), st.just(case_study_system()),
+                         st.just(solve_filter(case_study_system(), np.full(2, 2.9663)))),
+           y_tilde=st.one_of(any_scalar(), st.just(np.zeros((3, 2)))),
+           x0_hat=st.one_of(any_scalar(), st.just(np.zeros(2))))
+    @settings(max_examples=60, deadline=None)
+    def test_malformed_arguments_raise_validation_errors(self, sol, y_tilde, x0_hat):
+        try:
+            run_filter(sol, y_tilde, x0_hat)
+        except ValidationError:
+            pass
 
     def test_deterministic(self):
         sol = solve_filter(case_study_system(), np.full(2, 2.9663))

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dpkalman import (
     AgentSpec,
@@ -16,8 +17,9 @@ from dpkalman import (
     solve_filter,
 )
 from dpkalman.errors import DimensionMismatchError, EmptyNetworkError
+from dpkalman.network import NetworkModel
 from dpkalman.linalg import block_diag
-from helpers import case_study_system, random_diagonal_system
+from helpers import any_scalar, case_study_system, random_diagonal_system
 
 LN3 = math.log(3.0)
 
@@ -150,3 +152,37 @@ class TestDecomposition:
         assert rep1.lower - 1e-8 <= np.trace(ric.sigma) <= rep1.upper + 1e-8
         rep2 = aposteriori_trace_bounds(network.system, sigma)
         assert rep2.lower - 1e-8 <= np.trace(ric.sigma_bar) <= rep2.upper + 1e-8
+
+
+class TestMalformedInputs:
+    # every outcome is a result or a ValidationError, never an
+    # AttributeError or TypeError from a value of the wrong type
+    SCALAR = scalar_agent("a", 0.5)
+    NETWORK = compose([SCALAR])
+    SOLUTION = solve_filter(NETWORK.system, NETWORK.sigma)
+    ANY = st.one_of(any_scalar(), st.just(SCALAR), st.just(NETWORK), st.just(SOLUTION),
+                    st.just(SCALAR.system), st.just(SCALAR.privacy))
+
+    @given(agents=st.one_of(ANY, st.lists(ANY, max_size=3)))
+    @settings(max_examples=60, deadline=None)
+    def test_compose(self, agents):
+        try:
+            assert isinstance(compose(agents), NetworkModel)
+        except ValidationError:
+            pass
+
+    @given(agent_id=st.one_of(st.text(max_size=2), ANY), system=ANY, privacy=ANY)
+    @settings(max_examples=60, deadline=None)
+    def test_agent_spec(self, agent_id, system, privacy):
+        try:
+            AgentSpec(id=agent_id, system=system, privacy=privacy)
+        except ValidationError:
+            pass
+
+    @given(network=ANY, sol=ANY)
+    @settings(max_examples=60, deadline=None)
+    def test_per_agent_slices(self, network, sol):
+        try:
+            assert set(per_agent_slices(network, sol)) == {"a"}
+        except ValidationError:
+            pass

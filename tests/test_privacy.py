@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -109,6 +110,21 @@ class TestGaussianSigma:
             gaussian_sigma(1.0, 0.05, -1.0)
         with pytest.raises(OutOfDomainError):
             gaussian_sigma(1.0, 0.05, math.nan)
+
+    def test_epsilon_past_half_float_range(self):
+        # 2 epsilon overflows; sigma is about sensitivity / sqrt(2 epsilon)
+        assert gaussian_sigma(1e308, 0.01, 1.0) == pytest.approx(1.0 / math.sqrt(2e308), rel=1e-12)
+        assert gaussian_sigma(sys.float_info.max, 0.01, 1e10) > 0.0
+
+    @given(epsilon=st.floats(1e-320, 1e308), delta=st.floats(1e-10, 0.49),
+           sens=st.floats(1e-320, 1e308))
+    @settings(max_examples=100)
+    def test_closed_form_bits_kept(self, epsilon, delta, sens):
+        # wherever the closed form is finite and positive, sigma is its value
+        k = q_inverse(delta)
+        closed = sens / (2.0 * epsilon) * (k + math.sqrt(k * k + 2.0 * epsilon))
+        if math.isfinite(closed) and closed > 0.0:
+            assert gaussian_sigma(epsilon, delta, sens) == closed
 
     @given(
         st.floats(0.05, 20.0),
