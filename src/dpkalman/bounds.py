@@ -108,7 +108,8 @@ def channel_extremes(C, sigma) -> ChannelExtremes:
 
 def _inputs(system: SystemModel, sigma):
     # What every report reads: the window ends s0 and s1 (module docstring),
-    # lambda_min(W), lambda_max(W), tr W, and the channel intermediates; it
+    # lambda_min(W), lambda_max(W), tr W, tr(H^T H) (infinite past float
+    # range, with no overflow warning), and the channel intermediates; it
     # checks sigma through channel_extremes. The ratios r = C_ii / sigma_i are
     # squared, not the scales, so no scale in float range overflows to a NaN:
     # s0 = lambda_min(W) / (1 + lambda_min(W) r_u^2), and s1 = 1 / r_l^2 is
@@ -119,8 +120,10 @@ def _inputs(system: SystemModel, sigma):
     r_u = ext.c_u / ext.sigma_u
     s0 = lam_min_w / (1.0 + lam_min_w * (r_u * r_u))
     s1 = math.inf if ext.c_l == 0.0 else (ext.sigma_l / ext.c_l) * (ext.sigma_l / ext.c_l)
+    with np.errstate(over="ignore"):
+        tr_hth = float(np.sum(system.H * system.H))
     channels = {"c_l": ext.c_l, "c_u": ext.c_u, "sigma_l": ext.sigma_l, "sigma_u": ext.sigma_u}
-    return s0, s1, lam_min_w, float(w[-1]), float(np.trace(system.W)), channels
+    return s0, s1, lam_min_w, float(w[-1]), float(np.trace(system.W)), tr_hth, channels
 
 
 def _log(x: float) -> float:
@@ -131,8 +134,7 @@ def _log(x: float) -> float:
 def apriori_trace_bounds(system: SystemModel, sigma) -> BoundReport:
     """Bounds on the steady-state mean squared prediction error (tr of the
     prediction covariance): tr W + tr(H^T H) s0 and tr W + tr(H^T H) s1."""
-    s0, s1, lam_min_w, _, tr_w, channels = _inputs(system, sigma)
-    tr_hth = float(np.sum(system.H * system.H))
+    s0, s1, lam_min_w, _, tr_w, tr_hth, channels = _inputs(system, sigma)
     # infinite, not NaN, when tr(H^T H) = 0 meets s1 = inf
     upper = math.inf if s1 == math.inf else tr_w + tr_hth * s1
     return BoundReport(APRIORI_TRACE, tr_w + tr_hth * s0, upper, True,
@@ -142,7 +144,7 @@ def apriori_trace_bounds(system: SystemModel, sigma) -> BoundReport:
 def aposteriori_trace_bounds(system: SystemModel, sigma) -> BoundReport:
     """Bounds on the steady-state mean squared estimation error (tr of the
     estimation covariance): n s0 and n s1."""
-    s0, s1, lam_min_w, _, _, channels = _inputs(system, sigma)
+    s0, s1, lam_min_w, _, _, _, channels = _inputs(system, sigma)
     n = system.n
     return BoundReport(APOSTERIORI_TRACE, n * s0, n * s1, True,
                        {"n": float(n), "lambda_min_w": lam_min_w, **channels})
@@ -157,7 +159,7 @@ def apriori_logdet_bounds(system: SystemModel, sigma) -> BoundReport:
     The ``det_h`` and ``det_w`` intermediates are taken from the
     log-determinants.
     """
-    s0, s1, lam_min_w, lam_max_w, tr_w, channels = _inputs(system, sigma)
+    s0, s1, lam_min_w, lam_max_w, tr_w, tr_hth, channels = _inputs(system, sigma)
     n = system.n
     w_diag = np.diag(system.W)
     s = np.linalg.svd(system.H, compute_uv=False)
@@ -167,18 +169,18 @@ def apriori_logdet_bounds(system: SystemModel, sigma) -> BoundReport:
         ratios = np.diag(system.C) / np.asarray(sigma, dtype=float)  # sigma checked by _inputs
         gammas = w_diag / (1.0 + w_diag * (ratios * ratios))
         det_h, det_w = float(sign_h * np.exp(logdet_h)), float(np.exp(logdet_w))
-    eta = float(s[-1] ** 2 * gammas.max() + lam_min_w)
-    lhs = float(s[0] ** 2)
+        eta = float(s[-1] ** 2 * gammas.max() + lam_min_w)
+        lhs = float(s[0] ** 2)  # inf past float range: the precondition fails
     rhs = 1.0 + eta / s1 if s1 > 0.0 else math.inf
     applicable = lhs < rhs
     # the estimation covariance dominates s0 * I, so with det(A + B) >=
     # det A + det B for A, B >= 0: det(H Sigma_bar H^T + W) >= det(H)^2 s0^n + det W,
     # summed in log space so that neither term under- or overflows at large n
     lower = float(np.logaddexp(2.0 * logdet_h + n * _log(s0), logdet_w))
-    upper = lam_max_w / (rhs - lhs) * float(np.sum(s**2)) + tr_w if applicable else None
+    upper = lam_max_w / (rhs - lhs) * tr_hth + tr_w if applicable else None
     intermediates = {
         "eta": eta, "lambda_min_w": lam_min_w, "lambda_max_w": lam_max_w,
-        "tr_w": tr_w, "tr_hth": float(np.sum(s**2)), "det_h": det_h, "det_w": det_w,
+        "tr_w": tr_w, "tr_hth": tr_hth, "det_h": det_h, "det_w": det_w,
         "precondition_lhs": lhs, "precondition_rhs": rhs, **channels,
     }
     for i, g in enumerate(gammas):
@@ -191,7 +193,7 @@ def apriori_logdet_bounds(system: SystemModel, sigma) -> BoundReport:
 def aposteriori_logdet_bounds(system: SystemModel, sigma) -> BoundReport:
     """Bounds on the log-determinant of the estimation error covariance:
     n log s0 and n log s1."""
-    s0, s1, lam_min_w, _, _, channels = _inputs(system, sigma)
+    s0, s1, lam_min_w, _, _, _, channels = _inputs(system, sigma)
     n = system.n
     return BoundReport(APOSTERIORI_LOGDET, n * _log(s0), n * _log(s1), True,
                        {"n": float(n), "lambda_min_w": lam_min_w, **channels})

@@ -20,7 +20,7 @@ import numpy as np
 
 from .bounds import _inputs, to_json
 from .errors import DegenerateSystemError, InvalidTargetError, OutOfDomainError
-from .linalg import SystemModel, _as_real, solve_dare
+from .linalg import SystemModel, _as_real, noise_covariance, solve_dare
 from .privacy import gaussian_sigma, sensitivity_bound
 
 APRIORI = "apriori"
@@ -119,9 +119,9 @@ def _calibrate(system: SystemModel, target: CalibrationTarget, kind: str) -> Eps
     if target.kind != kind:
         raise InvalidTargetError(f"target kind is {target.kind!r}, expected '{kind}'")
     sens = _sensitivity_for(system, target)
-    _, _, lam_min_w, _, tr_w, channels = _inputs(system, np.ones(system.n))
+    _, _, lam_min_w, _, tr_w, tr_hth, channels = _inputs(system, np.ones(system.n))
     if kind == APRIORI:
-        offset, scale = tr_w, float(np.sum(system.H * system.H))
+        offset, scale = tr_w, tr_hth
         if scale == 0.0:
             raise DegenerateSystemError("tr(H^T H) is zero; the prediction MSE cannot exceed tr W")
         if target.B_l <= tr_w:
@@ -177,8 +177,7 @@ def verify_calibration(system: SystemModel, target: CalibrationTarget,
         raise OutOfDomainError(f"epsilon must be positive and finite, got {epsilon}")
     sens = _sensitivity_for(system, target)
     sigma = gaussian_sigma(epsilon, target.delta, sens)
-    with np.errstate(over="ignore", invalid="ignore"):  # solve_dare rejects a variance past float range
-        V = np.float64(sigma) ** 2 * np.eye(system.q)
+    V = noise_covariance(np.full(system.q, sigma))
     achieved = float(np.trace(getattr(solve_dare(system, V), _KINDS[target.kind][2])))
     return CalibrationVerification(
         sigma=sigma,

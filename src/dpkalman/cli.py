@@ -31,7 +31,7 @@ from .errors import (
     NotDiagonalError,
 )
 from .filtering import solve_filter
-from .linalg import solve_dare
+from .linalg import noise_covariance, solve_dare
 from .network import compose, per_agent_slices
 from .privacy import noise_scales
 from .simulation import SimulationConfig, simulate, write_csv
@@ -175,7 +175,7 @@ def _riccati_summary(ric) -> dict:
 
 def _cmd_dare(args) -> int:
     system, sigma, compliant = _system_and_scales(args)
-    doc = {**_riccati_summary(solve_dare(system, np.diag(sigma**2))), "privacy_compliant": compliant}
+    doc = {**_riccati_summary(solve_dare(system, noise_covariance(sigma))), "privacy_compliant": compliant}
     _emit(doc, args.json)
     return EXIT_OK
 

@@ -36,7 +36,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import RiccatiSolution, SystemModel, _as_instance, as_matrix, as_vector, solve_dare
+from .linalg import (RiccatiSolution, SystemModel, _as_instance, as_matrix, as_vector, noise_covariance,
+                     solve_dare)
 
 # Steps per window of run_filter's scan; a power of two. Longer windows mean
 # fewer window ends but more rounds over the whole trajectory and a wider
@@ -115,11 +116,11 @@ class FilterSolution:
 def solve_filter(system: SystemModel, sigma) -> FilterSolution:
     """Solve the steady state for per-channel noise scales ``sigma``.
 
-    Builds V = diag(sigma_i^2); singular V (any zero scale) is rejected by
-    the Riccati solver.
+    Builds V by :func:`~dpkalman.linalg.noise_covariance`; singular V (any
+    zero scale) is rejected by the Riccati solver.
     """
     sigma = as_vector(sigma, "sigma", length=system.q)
-    return FilterSolution(system=system, riccati=solve_dare(system, np.diag(sigma**2)))
+    return FilterSolution(system=system, riccati=solve_dare(system, noise_covariance(sigma)))
 
 
 def _powers(F_t: np.ndarray, m: int) -> np.ndarray:

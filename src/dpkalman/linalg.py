@@ -98,13 +98,22 @@ def symmetrize(S: np.ndarray) -> np.ndarray:
 
 
 def require_symmetric(S: np.ndarray, name: str = "matrix") -> np.ndarray:
-    """Check max |S_ij - S_ji| <= ``SYMMETRY_TOL`` and return the symmetrized matrix."""
+    """Check max |S_ij - S_ji| <= ``SYMMETRY_TOL`` and return the symmetrized matrix.
+
+    A finite ``S`` gives a finite result: a skew past float range is
+    infinite, and so rejected, and two entries whose sum overflows differ by
+    at most the tolerance, far below their spacing, so they are equal and
+    their mean is the entry itself.
+    """
     if S.shape[0] != S.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {S.shape}")
-    skew = float(np.max(np.abs(S - S.T)))
-    if skew > SYMMETRY_TOL:
-        raise NonSymmetricError(f"{name} is not symmetric: max |S_ij - S_ji| = {skew:.3e} > {SYMMETRY_TOL:.1e}")
-    return symmetrize(S)
+    with np.errstate(over="ignore"):
+        skew = float(np.max(np.abs(S - S.T)))
+        if skew > SYMMETRY_TOL:
+            raise NonSymmetricError(f"{name} is not symmetric: max |S_ij - S_ji| = {skew:.3e} > {SYMMETRY_TOL:.1e}")
+        out = symmetrize(S)
+    np.copyto(out, S, where=np.isinf(out))
+    return out
 
 
 def singular_values(A) -> np.ndarray:
@@ -232,6 +241,16 @@ class RiccatiSolution:
             object.__setattr__(self, name, arr)
 
 
+def noise_covariance(sigma) -> np.ndarray:
+    """The privacy-noise covariance V = diag(sigma_i^2) of per-channel scales.
+
+    A variance past float range is infinite, with no overflow warning;
+    :func:`solve_dare` rejects such a V.
+    """
+    with np.errstate(over="ignore"):
+        return np.diag(np.square(sigma))
+
+
 def _require_invertible_spd(M: np.ndarray, name: str) -> None:
     w = np.linalg.eigvalsh(M)
     if w[-1] <= 0.0 or w[0] < SINGULARITY_RTOL * w[-1]:
@@ -285,26 +304,30 @@ def solve_dare(system: SystemModel, V) -> RiccatiSolution:
     info = system.C.T @ np.linalg.solve(V, system.C)
     tiny = np.finfo(float).tiny
     sigma = W
-    sigma_norm = max(_frobenius(sigma), tiny)
-    change = np.inf  # the start has no predecessor
-    # pass k maps sigma_k once: |nxt - sigma_k| over |sigma_k| is sigma_k's
-    # residual, and over |nxt| it is the change of sigma_(k+1)
-    for iterations in range(DARE_MAX_ITERATIONS + 1):
-        inner, nxt, step = _riccati_pass(sigma, info, H, Ht, W)
-        residual = step / sigma_norm
-        if change < DARE_CHANGE_TOL and residual <= DARE_RESIDUAL_TOL:
-            break
-        if not math.isfinite(residual):  # NaN, or past float range for good: the iterates grow
-            raise NoConvergenceError(f"Riccati iteration diverged after {iterations} iterations "
-                                     f"(residual {residual:.3e})")
-        sigma_norm = max(_frobenius(nxt), tiny)
-        change = step / sigma_norm
-        sigma = nxt
-    else:
-        raise NoConvergenceError(
-            f"Riccati iteration did not converge within {DARE_MAX_ITERATIONS} iterations "
-            f"(residual {residual:.3e})"
-        )
+    # one errstate for the whole loop, which is the hot path: a norm whose
+    # square passes float range is inf, and an iterate past it ends the loop
+    # at its non-finite residual, neither with an overflow warning
+    with np.errstate(over="ignore"):
+        sigma_norm = max(_frobenius(sigma), tiny)
+        change = np.inf  # the start has no predecessor
+        # pass k maps sigma_k once: |nxt - sigma_k| over |sigma_k| is sigma_k's
+        # residual, and over |nxt| it is the change of sigma_(k+1)
+        for iterations in range(DARE_MAX_ITERATIONS + 1):
+            inner, nxt, step = _riccati_pass(sigma, info, H, Ht, W)
+            residual = step / sigma_norm
+            if change < DARE_CHANGE_TOL and residual <= DARE_RESIDUAL_TOL:
+                break
+            if not math.isfinite(residual):  # NaN, or past float range for good: the iterates grow
+                raise NoConvergenceError(f"Riccati iteration diverged after {iterations} iterations "
+                                         f"(residual {residual:.3e})")
+            sigma_norm = max(_frobenius(nxt), tiny)
+            change = step / sigma_norm
+            sigma = nxt
+        else:
+            raise NoConvergenceError(
+                f"Riccati iteration did not converge within {DARE_MAX_ITERATIONS} iterations "
+                f"(residual {residual:.3e})"
+            )
 
     sigma_bar = symmetrize(inner)
     gain = np.linalg.solve(V, system.C @ sigma_bar).T

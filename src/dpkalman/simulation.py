@@ -16,8 +16,11 @@ of a longer run equal a run of N trials: bit for bit on the case-study plant,
 to a few ulp in general, because a block of fewer trials takes another BLAS
 path for its matrix products and a dense plant rounds differently there.
 
-Each span of blocks run by one thread allocates its noise buffers once and
-refills them for every block. Each step's squared errors form one contiguous
+Each span of blocks run by one thread gets its noise buffers once, before the
+Riccati solve, so a size that cannot be allocated fails before any work; every
+block of the span refills them. The privacy noise is drawn unscaled and the
+noise scales enter through the gain, v diag(sigma) K_t = v (diag(sigma) K_t),
+folded once per span. Each step's squared errors form one contiguous
 row of the block's trials, and each trial's errors past the burn-in are summed
 in time order as the steps run. The per-step paths are stored time-major and
 returned as ``(trials, T)`` transposed views of that ``(T, trials)`` storage,
@@ -157,40 +160,34 @@ def _sq_err(e: np.ndarray, out: np.ndarray) -> None:
         out += d[:, j]
 
 
-def _run_trials(lo: int, hi: int, sol: FilterSolution, sigma_row: np.ndarray, seed: int,
-                T: int, burn: int, x0_factor: np.ndarray | None,
+def _run_trials(lo: int, hi: int, w_buf: np.ndarray, v_buf: np.ndarray, sol: FilterSolution,
+                sigma: np.ndarray, seed: int, T: int, burn: int, x0_factor: np.ndarray | None,
                 out_prior: np.ndarray | None, out_post: np.ndarray | None,
                 mean_prior: np.ndarray, mean_post: np.ndarray) -> None:
     # Simulates trials [lo, hi) one noise block at a time and writes their
     # per-trial means past the burn-in into rows [lo, hi) of the mean
     # vectors. lo is a multiple of NOISE_BLOCK and so is hi unless it is the
-    # trial count, so no block is split between calls. sigma_row holds the
-    # noise scales repeated for every step. The noise buffers are allocated
-    # once per call and refilled by every block. Each step's squared errors
-    # form one contiguous row of the block's trials: row k of the time-major
-    # (T, trials) output arrays when given, else one reused row per error.
+    # trial count, so no block is split between calls. w_buf and v_buf are
+    # the span's (block, T, n) and (block, T, q) noise buffers, refilled by
+    # every block. Each step's squared errors form one contiguous row of the
+    # block's trials: row k of the time-major (T, trials) output arrays when
+    # given, else one reused row per error.
     system = sol.system
-    A_t, H_t, K_t = sol.A_t, sol.H_t, sol.K_t
-    n, q = system.n, system.q
+    A_t, H_t, n = sol.A_t, sol.H_t, system.n
+    # the noise scales folded into the gain (module docstring): a (q, n)
+    # product per span instead of a pass over every block's privacy noise
+    sigma_k_t = sigma[:, None] * sol.K_t
     chol_w_t = np.ascontiguousarray(np.linalg.cholesky(system.W).T)
-    size = min(NOISE_BLOCK, hi - lo)
-    w_buf, v_buf = np.empty((size, T, n)), np.empty((size, T * q))
     if out_prior is None:
-        step_prior, step_post = np.empty(size), np.empty(size)
+        step_prior, step_post = np.empty(len(w_buf)), np.empty(len(w_buf))
     for start in range(lo, hi, NOISE_BLOCK):
         stop = min(start + NOISE_BLOCK, hi)
         m, block = stop - start, start // NOISE_BLOCK
         # filling the first m rows in C order draws the same values as
-        # standard_normal((m, T, n)) and standard_normal((m, T * q))
-        w = w_buf[:m]
+        # standard_normal((m, T, n)) and standard_normal((m, T, q))
+        w, v = w_buf[:m], v_buf[:m]
         gaussian_generator(seed, trial=block, stream=STREAM_PROCESS).standard_normal(out=w)
-        # drawn as (m, T * q) and scaled there: the same products as scaling
-        # the (m, T, q) array by sigma, but several times faster at small q
-        # than broadcasting over a last axis of length q
-        v = v_buf[:m]
         gaussian_generator(seed, trial=block, stream=STREAM_PRIVACY).standard_normal(out=v)
-        v *= sigma_row
-        v = v.reshape(m, T, q)
         if x0_factor is None:
             e = np.zeros((m, n))
         else:
@@ -206,7 +203,7 @@ def _run_trials(lo: int, hi: int, sol: FilterSolution, sigma_row: np.ndarray, se
             if out_prior is not None:
                 sq_prior, sq_post = out_prior[k, start:stop], out_post[k, start:stop]
             post = e @ A_t
-            post -= v[:, k] @ K_t
+            post -= v[:, k] @ sigma_k_t
             _sq_err(e, sq_prior)
             _sq_err(post, sq_post)
             if k >= burn:
@@ -229,10 +226,18 @@ def simulate(config: SimulationConfig, *, threads: int = 1, paths: bool = True) 
     """
     system, sigma = config.resolve()
     T, trials = config.horizon_T, config.trials
+    threads = max(1, _as_int(threads, "threads"))
     try:
         per_trial_prior, per_trial_post = np.empty(trials), np.empty(trials)
-        sigma_row = np.tile(sigma, T)
         out_prior, out_post = (np.empty((T, trials)), np.empty((T, trials))) if paths else (None, None)
+        # spans start at block boundaries, so threads never split a noise
+        # block; integer ceiling division, so that no thread count rounds the
+        # chunk to 0
+        chunk = NOISE_BLOCK * -(-trials // (NOISE_BLOCK * threads))
+        spans = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
+        # each span's process- and privacy-noise buffers, one block long
+        buffers = [(np.empty((size, T, system.n)), np.empty((size, T, system.q)))
+                   for size in (min(NOISE_BLOCK, hi - lo) for lo, hi in spans)]
     except (ValueError, MemoryError) as exc:  # a size numpy cannot address, or too large to hold
         raise ValidationError(f"trials={trials} x horizon_T={T} cannot be allocated: {exc}") from None
     sol = solve_filter(system, sigma)
@@ -242,38 +247,37 @@ def simulate(config: SimulationConfig, *, threads: int = 1, paths: bool = True) 
     burn = min(BURN_IN, T - 1)
     x0_factor = symmetric_factor(config.x0_cov) if config.x0_cov is not None else None
 
-    # spans start at block boundaries, so threads never split a noise block;
-    # integer ceiling division, so that no thread count rounds the chunk to 0
-    chunk = NOISE_BLOCK * -(-trials // (NOISE_BLOCK * max(1, _as_int(threads, "threads"))))
-    spans = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-    args = (sol, sigma_row, config.seed, T, burn, x0_factor, out_prior, out_post,
+    args = (sol, sigma, config.seed, T, burn, x0_factor, out_prior, out_post,
             per_trial_prior, per_trial_post)
     if len(spans) == 1:
-        _run_trials(0, trials, *args)
+        _run_trials(0, trials, *buffers[0], *args)
     else:
         # imported here: concurrent.futures pulls in logging, which no
         # single-span run needs
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            futures = [pool.submit(_run_trials, lo, hi, *args) for lo, hi in spans]
+            futures = [pool.submit(_run_trials, lo, hi, *bufs, *args)
+                       for (lo, hi), bufs in zip(spans, buffers)]
             for f in futures:
                 f.result()
 
-    if trials > 1:
-        se_prior = float(per_trial_prior.std(ddof=1) / math.sqrt(trials))
-        se_post = float(per_trial_post.std(ddof=1) / math.sqrt(trials))
-    else:
-        se_prior = se_post = 0.0
-    summary = SimulationSummary(
-        mean_sq_err_prior=float(per_trial_prior.mean()),
-        mean_sq_err_post=float(per_trial_post.mean()),
-        stderr_sq_err_prior=se_prior,
-        stderr_sq_err_post=se_post,
-        trials=trials,
-        horizon_T=T,
-        burn_in=burn,
-    )
+    # a mean whose sum, or a spread whose square, passes float range is inf
+    with np.errstate(over="ignore"):
+        if trials > 1:
+            se_prior = float(per_trial_prior.std(ddof=1) / math.sqrt(trials))
+            se_post = float(per_trial_post.std(ddof=1) / math.sqrt(trials))
+        else:
+            se_prior = se_post = 0.0
+        summary = SimulationSummary(
+            mean_sq_err_prior=float(per_trial_prior.mean()),
+            mean_sq_err_post=float(per_trial_post.mean()),
+            stderr_sq_err_prior=se_prior,
+            stderr_sq_err_post=se_post,
+            trials=trials,
+            horizon_T=T,
+            burn_in=burn,
+        )
     return SimulationResult(
         sq_err_prior=None if out_prior is None else out_prior.T,
         sq_err_post=None if out_post is None else out_post.T,

@@ -7,12 +7,13 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dpkalman
 import dpkalman.cli
@@ -225,6 +226,19 @@ class TestDareCommand:
         code, _, err = run(capsys, "dare", "--config", path)
         assert code == 3
         assert "singular" in err.lower()
+
+    def test_variance_past_float_range_exits_one(self, write_config, capsys):
+        # adjacency_B = 1e200 gives sigma near 3e200, whose square passes
+        # float range: V is rejected by name, with no overflow warning
+        doc = json.loads((CONFIGS / "case_study.json").read_text())
+        doc["privacy"]["adjacency_B"] = 1e200
+        path = write_config(doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code, out, err = run(capsys, "dare", "--config", path, "--json")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: V ")
 
     def test_human_output_without_json_flag(self, write_config, capsys):
         path = write_config(case_study_doc())
@@ -604,6 +618,14 @@ class TestMalformedConfigs:
 
     @given(field=st.sampled_from(FIELDS), value=VALUES,
            command=st.sampled_from(["calibrate", "bounds", "dare", "simulate", "compose"]))
+    # values whose squares pass float range, each of which once printed an
+    # overflow warning, which the test configuration makes an error: in the
+    # Riccati norms, the a-priori bounds' tr(H^T H) and ||H||^2, and the
+    # simulated standard error
+    @example(field=FIELDS[7], value=1e155, command="dare")
+    @example(field=FIELDS[9], value=1e155, command="bounds")
+    @example(field=FIELDS[9], value=1e200, command="calibrate")
+    @example(field=FIELDS[7], value=1e160, command="simulate")
     @settings(max_examples=120, deadline=None)
     def test_exit_code_and_strict_output(self, field, value, command):
         name, path = field
@@ -630,7 +652,6 @@ class TestMalformedConfigs:
 
 
 class TestLargePlant:
-    @pytest.mark.filterwarnings("ignore:overflow encountered in det:RuntimeWarning")
     def test_bounds_stay_finite_and_strict_json(self, write_config, capsys):
         # det W = 100**160 overflows a float: the a-priori log-det lower
         # bound read Infinity, and so does the det_w intermediate

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -337,6 +338,13 @@ class TestSystemModel:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             SystemModel(H=np.eye(2), C=np.eye(3), W=np.eye(2), x0_hat=np.zeros(2))
+
+    def test_huge_w_stays_finite(self):
+        # W + W^T overflows at 1e308, but the symmetrized W is W itself
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            system = SystemModel(H=[[1.0]], C=[[1.0]], W=[[1e308]], x0_hat=[0.0])
+        assert system.W[0, 0] == 1e308
 
     def test_arrays_frozen(self):
         system = case_study_system()

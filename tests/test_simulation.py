@@ -265,11 +265,14 @@ class TestFilterWiring:
     @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
                         reason="longdouble is no wider than float64 on this platform")
     def test_trial_zero_accurate_on_a_growing_state(self):
-        # the case-study plant is a double integrator: by T = 2000 this
-        # trial's state passes 1e5, so forming x - x_hat in float64 would
-        # cancel bits; compare with a longdouble state-and-filter reference
+        # the case-study plant is a double integrator: started at a public
+        # velocity of 1e3, its state passes 1e6 by T = 2000 whatever the
+        # draws (the noise moves the position by about 1.6e5, one standard
+        # deviation), so forming x - x_hat in float64 would cancel bits;
+        # compare with a longdouble state-and-filter reference
         seed, T = 13, 2000
-        cfg = case_config(trials=1, horizon=T, seed=seed)
+        moving = dataclasses.replace(case_study_system(), x0_hat=np.array([0.0, 1e3]))
+        cfg = dataclasses.replace(case_config(trials=1, horizon=T, seed=seed), system=moving)
         res = simulate(cfg)
         system, ld = cfg.system, np.longdouble
         H, C, K = (np.asarray(a, dtype=ld) for a in (system.H, system.C, res.solution.riccati.gain))
