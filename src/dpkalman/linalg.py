@@ -267,9 +267,18 @@ def _posterior(sigma: np.ndarray, info: np.ndarray) -> np.ndarray:
 
 
 def _frobenius(x: np.ndarray) -> float:
-    # np.linalg.norm(x) without its dispatch: the same ravel, dot and sqrt
+    # np.linalg.norm(x) without its dispatch: the same ravel, dot and sqrt.
+    # A sum of squares past float range is redone scaled by the largest
+    # entry, so a finite matrix keeps a finite norm; callers run it under
+    # errstate(over="ignore")
     r = x.ravel(order="K")
-    return math.sqrt(r.dot(r))
+    norm = math.sqrt(r.dot(r))
+    if norm == math.inf:
+        big = float(np.max(np.abs(r)))
+        if math.isfinite(big):
+            s = r / big
+            return big * math.sqrt(s.dot(s))
+    return norm
 
 
 def _riccati_pass(sigma, info, H, Ht, W) -> tuple[np.ndarray, np.ndarray, float]:

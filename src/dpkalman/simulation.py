@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -293,7 +292,9 @@ def write_csv(result: SimulationResult, path) -> None:
     """Write one row per (trial, k): LF line endings, full-precision floats.
 
     Needs the per-step paths, so ``result`` must come from a
-    ``simulate(..., paths=True)`` run.
+    ``simulate(..., paths=True)`` run. Each row costs two shortest-round-trip
+    ``repr`` calls, one per squared error; every other field of a row is a
+    string built once per call.
     """
     if result.sq_err_prior is None:
         raise ValidationError("write_csv needs per-step paths; simulate with paths=True")
@@ -303,9 +304,13 @@ def write_csv(result: SimulationResult, path) -> None:
         if shape != (result.trials, T):
             raise ValidationError(f"{name} must have shape {(result.trials, T)}, got {shape}")
     b = [repr(float(v)) for v in (*result.bound_prior, *result.bound_post)]
-    ks = [f",{k}," for k in range(T)]
-    commas = [","] * T
-    tails = [f",{b[0]},{b[1]},{b[2]},{b[3]}\n"] * T
+    # one trial's text is six pieces per step: trial, ",k,", prior, ",",
+    # post and the bound tail; only the trial and the two errors change from
+    # trial to trial, so they are slice-assigned into the constant pieces
+    parts = [None] * (6 * T)
+    parts[1::6] = [f",{k}," for k in range(T)]
+    parts[3::6] = [","] * T
+    parts[5::6] = [f",{b[0]},{b[1]},{b[2]},{b[3]}\n"] * T
     # the paths are views of time-major storage, so a trial's row is strided:
     # copy a few trials at a time into a C-ordered scratch and build one
     # string per trial from its Python floats, keeping the extra memory to a
@@ -319,6 +324,7 @@ def write_csv(result: SimulationResult, path) -> None:
             np.copyto(scratch[0, :m], result.sq_err_prior[lo:lo + m])
             np.copyto(scratch[1, :m], result.sq_err_post[lo:lo + m])
             for i in range(m):
-                fields = zip([str(lo + i)] * T, ks, map(repr, scratch[0, i].tolist()), commas,
-                             map(repr, scratch[1, i].tolist()), tails)
-                fh.write("".join(chain.from_iterable(fields)))
+                parts[0::6] = [str(lo + i)] * T
+                parts[2::6] = map(repr, scratch[0, i].tolist())
+                parts[4::6] = map(repr, scratch[1, i].tolist())
+                fh.write("".join(parts))

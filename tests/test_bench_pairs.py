@@ -1,0 +1,43 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "wall_s", "better": "lower"}, {"name": "throughput_per_s", "better": "higher"}]
+
+
+def fake_run(seed, side, wall_s, throughput_per_s, failed=0):
+    return {"workload": "w", "seed": seed, "side": side, "wall_s": wall_s,
+            "throughput_per_s": throughput_per_s, "attempted": 10, "failed": failed, "correct": True}
+
+
+def test_summary_honours_each_direction_and_counts_pairs():
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]
+    change = [0.5, 2.0, 2.5, 3.0, 6.0]  # better, tie, better, better, worse
+    runs = [fake_run(s, "parent", p, 10.0 / p) for s, p in enumerate(parent)]
+    runs += [fake_run(s, "change", c, 10.0 / c, failed=s % 2) for s, c in enumerate(change)]
+    runs.append(fake_run(99, "parent", 100.0, 0.1))  # a run without a partner: no pair
+    block = bench_pairs.summarize(runs, METRICS)["w"]
+
+    wall = block["wall_s"]
+    assert wall["parent"] == {"median": 3.5, "q1": 2.25, "q3": 4.75, "n": 6}
+    assert wall["change"] == {"median": 2.5, "q1": 2.0, "q3": 3.0, "n": 5}
+    assert wall["change_vs_parent"] == pytest.approx(2.5 / 3.5 - 1.0)
+    assert wall["parent_iqr"] == pytest.approx(2.5)
+    # ties count for neither side, the unpaired run for no pair
+    assert wall["pairs_change_better"] == "3/5"
+    # higher is better: the same pairs win, since throughput is 10 / wall
+    assert block["throughput_per_s"]["pairs_change_better"] == "3/5"
+    assert block["failed"] == {"parent": "0/60", "change": "2/50"}
+
+
+def test_side_order_alternates_with_the_seed():
+    assert bench_pairs.side_order(4) == ("parent", "change")
+    assert bench_pairs.side_order(5) == ("change", "parent")
+    assert bench_pairs.seed_range("201-203") == [201, 202, 203]
+    assert bench_pairs.seed_range("7") == [7]

@@ -240,6 +240,16 @@ class TestDareCommand:
         assert out == ""
         assert err.startswith("error: V ")
 
+    def test_residual_reported_past_float_range(self, write_config, capsys):
+        # W[0][0] = 1e155 puts |sigma|_F squared past float range; the
+        # residual stays a measured defect, not 0
+        doc = json.loads((CONFIGS / "case_study.json").read_text())
+        doc["system"]["W"]["entries"][0][0] = 1e155
+        path = write_config(doc)
+        code, out, _ = run(capsys, "dare", "--config", path, "--json")
+        assert code == 0
+        assert 0.0 < json.loads(out)["residual"] < math.inf
+
     def test_human_output_without_json_flag(self, write_config, capsys):
         path = write_config(case_study_doc())
         code, out, _ = run(capsys, "dare", "--config", path)
@@ -290,6 +300,22 @@ class TestSimulateCommand:
             assert code == 0
             outputs.append(target.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_unbounded_upper_bounds_stay_inf(self, write_config, tmp_path, capsys):
+        # C = diag(1, 0) leaves both upper bounds unbounded: the CSV keeps
+        # inf textually, the strict JSON reports it as null
+        doc = case_study_doc(simulation={"horizon_T": 3, "trials": 2, "seed": 42})
+        doc["system"]["C"] = matrix(2, 2, [[1.0, 0.0], [0.0, 0.0]])
+        out_csv = tmp_path / "rows.csv"
+        code, out, _ = run(capsys, "simulate", "--config", write_config(doc),
+                           "--out", str(out_csv), "--json")
+        assert code == 0
+        rows = out_csv.read_text().splitlines()[1:]
+        assert len(rows) == 2 * 3
+        for row in rows:
+            assert row.endswith(",34.041557495364984,inf,9.361038330243323,inf")
+        payload = json.loads(out)
+        assert payload["bound_prior"][1] is None and payload["bound_post"][1] is None
 
     def test_json_same_with_and_without_csv(self, write_config, tmp_path, capsys):
         # without --out the summary is streamed and no per-step paths are kept

@@ -147,16 +147,32 @@ class TestSolveDare:
 
     def test_non_finite_iterate_stops_at_once(self, monkeypatch):
         # W = 1e308 overflows the first map: the solver stops there rather
-        # than running DARE_MAX_ITERATIONS passes on NaN
+        # than running DARE_MAX_ITERATIONS passes; the start's norm is the
+        # finite 1e308, so the residual of the infinite map reads inf
         passes = []
         riccati_pass = dpkalman.linalg._riccati_pass
         monkeypatch.setattr(dpkalman.linalg, "_riccati_pass", lambda *a: passes.append(1) or riccati_pass(*a))
         with np.errstate(over="ignore", invalid="ignore"):
             system = SystemModel(H=[[1.0]], C=[[1.0]], W=[[1e308]], x0_hat=[0.0])
             sigma = PrivacyConfig.for_system(system, epsilon=1.0, delta=0.01, adjacency_B=1.0).sigma
-            with pytest.raises(NoConvergenceError, match=r"after 0 iterations \(residual nan\)"):
+            with pytest.raises(NoConvergenceError, match=r"after 0 iterations \(residual inf\)"):
                 solve_dare(system, np.diag(sigma**2))
         assert len(passes) == 1
+
+    @pytest.mark.parametrize("w", [1e155, 1e300])
+    def test_residual_measured_past_float_range(self, w):
+        # |sigma|_F squared passes float range, yet the residual is the
+        # fixed-point defect of the returned sigma, taken on the matrices
+        # scaled by 1 / w
+        H = case_study_system().H
+        V = np.diag([2.966**2] * 2)
+        ric = solve_dare(SystemModel(H=H, C=np.eye(2), W=np.diag([w, 10.0]), x0_hat=np.zeros(2)), V)
+        assert 0.0 < ric.residual < math.inf
+        inner = np.linalg.inv(np.linalg.inv(ric.sigma) + np.linalg.inv(V))
+        image = H @ (inner / w) @ H.T + np.diag([1.0, 10.0 / w])
+        S = ric.sigma / w
+        defect = np.linalg.norm(0.5 * (image + image.T) - S) / np.linalg.norm(S)
+        assert ric.residual == pytest.approx(defect, rel=1e-6)
 
     @pytest.mark.parametrize("epsilon,iterations", [(math.log(3.0), 14), (1e-3, 514)])
     def test_case_study_iteration_count(self, epsilon, iterations):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import os
 import tracemalloc
@@ -19,9 +20,11 @@ from dpkalman import (
     simulate,
     write_csv,
 )
+from dpkalman.config import build_agents, load_config
 from dpkalman.rng import STREAM_PRIVACY, STREAM_PROCESS, gaussian_generator
 from dpkalman.simulation import BURN_IN, CSV_HEADER, NOISE_BLOCK
 from helpers import case_study_system, reference_paths
+from test_cli import CONFIGS
 from test_network import agent, scalar_agent
 
 LN3 = math.log(3.0)
@@ -145,17 +148,32 @@ class TestWriteCsv:
         assert peak < 2 * 2**20
 
     def test_bytes_match_a_row_by_row_reference(self, tmp_path):
-        # 17 trials cross the edges of the chunks write_csv copies at a time
-        res = simulate(case_config(trials=17, horizon=9))
+        # 17 trials cross the edges of the chunks write_csv copies at a time;
+        # T = 1 leaves one piece of each kind per trial
+        for horizon in (9, 1):
+            res = simulate(case_config(trials=17, horizon=horizon))
+            path = tmp_path / f"out{horizon}.csv"
+            write_csv(res, path)
+            tail = ",".join(repr(float(b)) for b in (*res.bound_prior, *res.bound_post))
+            rows = [CSV_HEADER]
+            for t in range(17):
+                for k in range(horizon):
+                    rows.append(f"{t},{k},{float(res.sq_err_prior[t, k])!r},"
+                                f"{float(res.sq_err_post[t, k])!r},{tail}")
+            assert path.read_bytes() == ("\n".join(rows) + "\n").encode("ascii")
+
+    def test_bytes_pinned_on_the_two_agent_network(self, tmp_path):
+        # the exact bytes of a 9-trial run, one trial past a copy chunk, on
+        # the shipped network config; any change to the float formatting,
+        # the row layout or the noise streams moves this digest
+        config = load_config(CONFIGS / "network_two_agents.json")
+        network = compose(build_agents(config.agents))
+        res = simulate(SimulationConfig(system=network, privacy=None, horizon_T=40, trials=9,
+                                        seed=config.simulation.seed))
         path = tmp_path / "out.csv"
         write_csv(res, path)
-        tail = ",".join(repr(float(b)) for b in (*res.bound_prior, *res.bound_post))
-        rows = [CSV_HEADER]
-        for t in range(17):
-            for k in range(9):
-                rows.append(f"{t},{k},{float(res.sq_err_prior[t, k])!r},"
-                            f"{float(res.sq_err_post[t, k])!r},{tail}")
-        assert path.read_bytes() == ("\n".join(rows) + "\n").encode("ascii")
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "58a8894ed4d30db5c790fda34484cc30591733ebaf7e3a41826b471bc111655b"
 
 
 _SIZES = st.one_of(st.integers(1, 3), st.booleans(), st.floats(allow_nan=True, allow_infinity=True),
