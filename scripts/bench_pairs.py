@@ -13,11 +13,13 @@ parallel, and neither checkout is edited.
 ones added, so one file can hold several workloads run by several calls.
 Untraced runs are summarized per workload and end-to-end metric: each side's
 median and quartiles, ``change_vs_parent`` (change median over parent median,
-minus 1), ``parent_iqr``, and ``pairs_change_better``, the pairs of one seed
-in which the change reads better in the metric's ``better`` direction, ties
-counting for neither side. Traced runs (``--trace 1``) are kept whole under
-``per_layer``. These are the ``runs``, ``summary`` and ``per_layer`` blocks of
-a ``BENCH_<pr>.json`` file.
+minus 1), ``parent_iqr``, ``pairs_change_better``, the pairs of one seed in
+which the change reads better in the metric's ``better`` direction, ties
+counting for neither side, and ``gain_shown``: whether at least ten pairs ran,
+the change is better in at least 9/10 of them, and its median beats the
+parent's by more than ``parent_iqr`` in that direction. Traced runs
+(``--trace 1``) are kept whole under ``per_layer``. These are the ``runs``,
+``summary`` and ``per_layer`` blocks of a ``BENCH_<pr>.json`` file.
 """
 
 from __future__ import annotations
@@ -82,12 +84,15 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 continue
             parent, change = _stats(sides["parent"]), _stats(sides["change"])
             better = sum(sign * (p["change"][name] - p["parent"][name]) < 0 for p in pairs)
+            iqr = parent["q3"] - parent["q1"]
             block[name] = {
                 "parent": parent,
                 "change": change,
                 "change_vs_parent": change["median"] / parent["median"] - 1.0,
-                "parent_iqr": parent["q3"] - parent["q1"],
+                "parent_iqr": iqr,
                 "pairs_change_better": f"{better}/{len(pairs)}",
+                "gain_shown": (len(pairs) >= 10 and 10 * better >= 9 * len(pairs)
+                               and sign * (parent["median"] - change["median"]) > iqr),
             }
         block["failed"] = {s: f"{sum(r['failed'] for r in mine if r['side'] == s)}/"
                               f"{sum(r['attempted'] for r in mine if r['side'] == s)}"
@@ -138,7 +143,8 @@ def main(argv=None) -> int:
             if name != "failed":
                 print(f"{workload:15} {name:17} parent {s['parent']['median']:.6g} "
                       f"change {s['change']['median']:.6g} ({s['change_vs_parent']:+.1%}), "
-                      f"parent IQR {s['parent_iqr']:.3g}, change better {s['pairs_change_better']}")
+                      f"parent IQR {s['parent_iqr']:.3g}, change better {s['pairs_change_better']}"
+                      f"{', gain shown' if s['gain_shown'] else ''}")
         print(f"{workload:15} failed            parent {block['failed']['parent']} "
               f"change {block['failed']['change']}")
     return 0

@@ -15,16 +15,17 @@ driven by the noises alone, which :func:`dpkalman.simulation.simulate` steps:
 
 :func:`run_filter` computes a whole trajectory at once from the prediction
 form p_{k+1} = p_k F_t + y_k G_t, with F_t = A_t H_t and G_t = K_t H_t. The
-priors are a linear recursion driven by the outputs, which a two-level
-doubling scan evaluates in O(log T) numpy calls (the parallel-prefix
-evaluation of a linear recursion; Blelloch, "Prefix sums and their
-applications", 1990). The trajectory is cut into windows of L =
-FILTER_WINDOW steps. Level 1: log2 L doubling rounds, each one product over
-the whole trajectory, make each prior the sum of its own window's terms so
-far. Level 2: the same doubling over the window ends, with F_t^L, F_t^2L,
-..., makes each window end the full prior there; then one product with the
-side-by-side powers [F_t, F_t^2, ..., F_t^L] carries the end of each window
-into every step of the next. The estimates then follow in one product.
+priors are a linear recursion driven by the outputs, which a two-level scan
+evaluates in O(L + log T) numpy calls. The trajectory is cut into windows of
+L = FILTER_WINDOW steps. Level 1: the recursion itself, one step for all
+windows at once, makes each prior the sum of its own window's terms so far;
+its L - 1 products of (T / L, n) slabs are about one pass of the filter's
+arithmetic. Level 2: a doubling over the window ends with F_t^L, F_t^2L,
+... (the parallel-prefix evaluation of a linear recursion; Blelloch, "Prefix
+sums and their applications", 1990) makes each window end the full prior
+there; then one product with the side-by-side powers [F_t, F_t^2, ...,
+F_t^L] carries the end of each window into every step of the next. The
+estimates then follow in one product.
 """
 
 from __future__ import annotations
@@ -39,11 +40,14 @@ from .errors import DimensionMismatchError
 from .linalg import (RiccatiSolution, SystemModel, _as_instance, as_matrix, as_vector, noise_covariance,
                      solve_dare)
 
-# Steps per window of run_filter's scan; a power of two. Longer windows mean
-# fewer window ends but more rounds over the whole trajectory and a wider
-# carry product. At T = 2000 on one pinned core of a 2-vCPU x86_64 VM, 8 was
-# the fastest of 4..64 for n = 2, 18 and 64 (16 took 5-11 % longer, 64 took
-# 20-46 % longer) and 5-7 % slower than 4 at n = 256 (16: 18-20 % slower).
+# Steps per window of run_filter's scan; a power of two, for _powers. Longer
+# windows mean fewer window ends but more in-window steps and a wider carry
+# product. At T = 2000 on one pinned core of a 2-vCPU x86_64 VM (median time
+# relative to 8 over 15 interleaved rounds), no length of 4..64 was fastest
+# at every n: 4 was 7 % faster at n = 2 but 5-10 % slower at n = 18, 64 and
+# 256; 16 was 3-6 % faster at n = 18 and 64 but 19-23 % slower at n = 2 and
+# 6 % slower at n = 256; 32 and 64 were slower at every n. 8 is within 7 % of
+# the fastest at each n.
 FILTER_WINDOW = 8
 
 
@@ -139,7 +143,7 @@ def _powers(F_t: np.ndarray, m: int) -> np.ndarray:
 def run_filter(sol: FilterSolution, y_tilde, x0_hat) -> FilterTrajectory:
     """Filter a whole (T, q) trajectory starting from the prediction ``x0_hat``.
 
-    Evaluates the prediction form by a two-level doubling scan (module
+    Evaluates the prediction form by a two-level scan (module
     docstring): the same filter as the step-by-step recursion, equal to it
     up to rounding in the last bits. The returned arrays are read-only.
     """
@@ -160,16 +164,12 @@ def run_filter(sol: FilterSolution, y_tilde, x0_hat) -> FilterTrajectory:
     buf[T:] = 0.0
     windows = buf.reshape(nw, L, n)
     powers = _powers(sol.F_t, L)
-    # level 1: after the round for span d, each row sums the last 2d terms
-    # of its own window; the product runs over all rows at once and the rows
-    # it would carry across a window boundary are not added
-    d = 1
-    while d < min(L, T):
-        step = buf @ powers[:, (d - 1) * n:d * n]
-        windows[:, d:] += step.reshape(nw, L, n)[:, :L - d]
-        d *= 2
+    # level 1: the window's own recursion, one step for all windows at once,
+    # makes each row the sum of its own window's terms so far
+    for i in range(1, min(L, T)):
+        windows[:, i] += windows[:, i - 1] @ sol.F_t
     if nw > 1:
-        # level 2: the same doubling over the window ends with F_t^L makes
+        # level 2: a doubling over the window ends with F_t^L makes
         # each end the full prior; then one product carries end w - 1 into
         # every row i of window w through F_t^(i+1), the end rows included,
         # so the doubling works on a copy of them

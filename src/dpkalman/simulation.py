@@ -159,6 +159,26 @@ def _sq_err(e: np.ndarray, out: np.ndarray) -> None:
         out += d[:, j]
 
 
+def _mean_and_stderr(x: np.ndarray) -> tuple[float, float]:
+    # The mean of the per-trial means and its standard error. A value whose
+    # sum, or a spread whose square, passes float range is redone scaled by
+    # the largest |x|, as linalg._frobenius does, so finite per-trial means
+    # give a finite summary; the bits are the plain ones wherever those are
+    # finite.
+    with np.errstate(over="ignore"):
+        mean = float(x.mean())
+        se = float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        big = float(np.max(np.abs(x)))
+        if math.isfinite(big):
+            s = x / big
+            if not math.isfinite(mean):
+                mean = big * float(s.mean())
+            if not math.isfinite(se):
+                se = big * float(s.std(ddof=1) / math.sqrt(len(x)))
+    return mean, se
+
+
 def _run_trials(lo: int, hi: int, w_buf: np.ndarray, v_buf: np.ndarray, sol: FilterSolution,
                 sigma: np.ndarray, seed: int, T: int, burn: int, x0_factor: np.ndarray | None,
                 out_prior: np.ndarray | None, out_post: np.ndarray | None,
@@ -261,22 +281,17 @@ def simulate(config: SimulationConfig, *, threads: int = 1, paths: bool = True) 
             for f in futures:
                 f.result()
 
-    # a mean whose sum, or a spread whose square, passes float range is inf
-    with np.errstate(over="ignore"):
-        if trials > 1:
-            se_prior = float(per_trial_prior.std(ddof=1) / math.sqrt(trials))
-            se_post = float(per_trial_post.std(ddof=1) / math.sqrt(trials))
-        else:
-            se_prior = se_post = 0.0
-        summary = SimulationSummary(
-            mean_sq_err_prior=float(per_trial_prior.mean()),
-            mean_sq_err_post=float(per_trial_post.mean()),
-            stderr_sq_err_prior=se_prior,
-            stderr_sq_err_post=se_post,
-            trials=trials,
-            horizon_T=T,
-            burn_in=burn,
-        )
+    mean_prior, se_prior = _mean_and_stderr(per_trial_prior)
+    mean_post, se_post = _mean_and_stderr(per_trial_post)
+    summary = SimulationSummary(
+        mean_sq_err_prior=mean_prior,
+        mean_sq_err_post=mean_post,
+        stderr_sq_err_prior=se_prior,
+        stderr_sq_err_post=se_post,
+        trials=trials,
+        horizon_T=T,
+        burn_in=burn,
+    )
     return SimulationResult(
         sq_err_prior=None if out_prior is None else out_prior.T,
         sq_err_post=None if out_post is None else out_post.T,

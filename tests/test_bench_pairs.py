@@ -41,3 +41,23 @@ def test_side_order_alternates_with_the_seed():
     assert bench_pairs.side_order(5) == ("change", "parent")
     assert bench_pairs.seed_range("201-203") == [201, 202, 203]
     assert bench_pairs.seed_range("7") == [7]
+
+
+def test_gain_shown_needs_nine_pairs_in_ten_and_a_gap_beyond_the_parent_iqr():
+    parent = [1.0 + 0.01 * s for s in range(10)]  # median 1.045, IQR 0.045
+
+    def gain_shown(change, seeds=range(10)):
+        runs = [fake_run(s, "parent", p, 10.0 / p) for s, p in enumerate(parent)]
+        runs += [fake_run(s, "change", c, 10.0 / c) for s, c in zip(seeds, change)]
+        block = bench_pairs.summarize(runs, METRICS)["w"]
+        return block["wall_s"]["gain_shown"], block["throughput_per_s"]["gain_shown"]
+
+    faster = [p - 0.2 for p in parent]
+    assert gain_shown(faster) == (True, True)  # each direction
+    assert gain_shown([p + 0.2 for p in parent]) == (False, False)  # worse
+    assert gain_shown([p - 0.01 for p in parent]) == (False, False)  # 10/10, gap inside the IQR
+    assert gain_shown(faster[:9] + [parent[9] + 0.1]) == (True, True)  # 9/10
+    assert gain_shown(faster[:8] + [parent[8] + 0.1, parent[9] + 0.1]) == (False, False)  # 8/10
+    assert gain_shown(faster[:9] + [parent[9]]) == (True, True)  # a tie counts for neither side
+    assert gain_shown(faster, seeds=range(100, 110)) == (False, False)  # no pairs
+    assert gain_shown(faster[:9], seeds=range(1, 10)) == (False, False)  # fewer than ten pairs

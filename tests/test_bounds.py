@@ -11,6 +11,7 @@ from scipy.linalg import solve_discrete_are
 from dpkalman import (
     APOSTERIORI_LOGDET,
     APOSTERIORI_TRACE,
+    APRIORI_LOGDET,
     APRIORI_TRACE,
     SystemModel,
     all_bounds,
@@ -29,6 +30,22 @@ SIGMA_CASE = 2.966281680892255
 
 def scalar_system():
     return SystemModel(H=[[1.0]], C=[[1.0]], W=[[1.0]], x0_hat=[0.0])
+
+
+def wide_plants(seed, count=50):
+    """Seeded plants with their noise scales: n up to 6, per-channel SNR
+    1e-6..1e6, spectral radius up to 1.6, cond(W) up to e^8, lambda_max(W)
+    down to 1e-3."""
+    rng = np.random.default_rng(9100 + seed)
+    for _ in range(count):
+        n = int(rng.integers(1, 7))
+        H = rng.normal(size=(n, n))
+        H *= rng.uniform(0.0, 1.6) / max(np.max(np.abs(np.linalg.eigvals(H))), 1e-12)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        W = (q * np.exp(-rng.uniform(0.0, 8.0, size=n))) @ q.T * 10.0 ** rng.uniform(-3, 1)
+        c = rng.uniform(0.05, 3.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+        sigma = np.abs(c) / np.sqrt(10.0 ** rng.uniform(-6, 6, size=n))
+        yield SystemModel(H=H, C=np.diag(c), W=(W + W.T) / 2, x0_hat=np.zeros(n)), sigma
 
 
 class TestChannelExtremes:
@@ -146,18 +163,8 @@ class TestAprioriLogdet:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_lower_holds_over_a_wide_plant_range(self, seed):
-        # n up to 6, per-channel SNR 1e-6..1e6, spectral radius up to 1.6,
-        # cond(W) up to e^8, lambda_max(W) down to 1e-3; scipy is the oracle
-        rng = np.random.default_rng(9100 + seed)
-        for _ in range(50):
-            n = int(rng.integers(1, 7))
-            H = rng.normal(size=(n, n))
-            H *= rng.uniform(0.0, 1.6) / max(np.max(np.abs(np.linalg.eigvals(H))), 1e-12)
-            q, _ = np.linalg.qr(rng.normal(size=(n, n)))
-            W = (q * np.exp(-rng.uniform(0.0, 8.0, size=n))) @ q.T * 10.0 ** rng.uniform(-3, 1)
-            c = rng.uniform(0.05, 3.0, size=n) * rng.choice([-1.0, 1.0], size=n)
-            sigma = np.abs(c) / np.sqrt(10.0 ** rng.uniform(-6, 6, size=n))
-            system = SystemModel(H=H, C=np.diag(c), W=(W + W.T) / 2, x0_hat=np.zeros(n))
+        # scipy is the oracle
+        for system, sigma in wide_plants(seed):
             true = np.linalg.slogdet(solve_discrete_are(system.H.T, system.C.T, system.W,
                                                         np.diag(sigma**2)))[1]
             assert apriori_logdet_bounds(system, sigma).lower <= true + 1e-9 * max(1.0, abs(true))
@@ -267,6 +274,24 @@ class TestContainmentProperties:
         assert logdet_prior >= rep3.lower - 1e-8
         if rep3.applicable:
             assert logdet_prior < rep3.upper
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_every_report_contains_the_exact_value_over_a_wide_plant_range(self, seed):
+        # scipy's prediction covariance and the estimation covariance in
+        # information form; a report that is not applicable has no upper end
+        for system, sigma in wide_plants(seed):
+            C = system.C
+            prior = solve_discrete_are(system.H.T, C.T, system.W, np.diag(sigma**2))
+            post = np.linalg.inv(np.linalg.inv(prior) + C.T @ np.diag(sigma**-2.0) @ C)
+            exact = {APRIORI_TRACE: np.trace(prior), APOSTERIORI_TRACE: np.trace(post),
+                     APRIORI_LOGDET: np.linalg.slogdet(prior)[1],
+                     APOSTERIORI_LOGDET: np.linalg.slogdet(post)[1]}
+            for kind, rep in all_bounds(system, sigma).items():
+                slack = 1e-9 * max(1.0, abs(exact[kind]))
+                assert rep.lower <= exact[kind] + slack, kind
+                assert (rep.upper is None) == (not rep.applicable), kind
+                if rep.applicable:
+                    assert exact[kind] <= rep.upper + slack, kind
 
     @pytest.mark.parametrize("seed", range(8))
     def test_scaling_noise_widens_aposteriori_bounds(self, seed):

@@ -824,3 +824,80 @@ class TestConfigRoundTrip:
         doc["agents"] = []
         with pytest.raises(Exception):
             loads_config(json.dumps(doc))
+
+
+def config_documents():
+    """Strategy for whole config documents, malformed at any depth.
+
+    Numbers include NaN, +-inf and integers past float range; matrices come
+    with entries that fit their declared shape, ragged, with shapes that are
+    not sizes, or as junk; each section and the document itself may be
+    junk, and the bundled case study's sections mix in so that some
+    documents parse.
+    """
+    numbers = st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.integers(),
+                        st.sampled_from([0, -1, 2**63, 10**400, -10**400, True, False]))
+    junk = st.recursive(st.one_of(st.none(), numbers, st.text(max_size=4)),
+                        lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                                st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+                        max_leaves=6)
+    anything = st.one_of(numbers, junk)
+    case = case_study_doc()
+
+    def shaped(row):
+        return st.tuples(st.integers(0, 3), st.integers(0, 3)).flatmap(
+            lambda rc: st.fixed_dictionaries({"rows": st.just(rc[0]), "cols": st.just(rc[1]),
+                                              "entries": st.lists(row(rc[1]), min_size=rc[0], max_size=rc[0])}))
+
+    matrix = st.one_of(
+        shaped(lambda cols: st.lists(numbers, min_size=cols, max_size=cols)),
+        shaped(lambda cols: st.one_of(st.lists(anything, max_size=3), anything)),  # ragged or junk rows
+        st.fixed_dictionaries({"rows": anything, "cols": anything, "entries": anything}),
+        junk, st.sampled_from([case["system"]["H"], case["system"]["W"]]))
+    vector = st.one_of(st.lists(anything, max_size=3), junk, st.just([0.0, 0.0]))
+
+    def mostly(common, rare):
+        # one draw in four from rare
+        return st.integers(0, 3).flatmap(lambda i: rare if i == 0 else common)
+
+    def section(fields, name, optional=None):
+        return mostly(st.one_of(st.fixed_dictionaries(fields, optional=optional), st.just(case[name])), junk)
+
+    system = section({"H": matrix, "C": matrix, "W": matrix, "x0_hat": vector}, "system")
+    privacy = section({"epsilon": anything, "delta": anything, "adjacency_B": anything}, "privacy",
+                      optional={"sigma": st.one_of(anything, vector)})
+    simulation = section({"horizon_T": anything, "trials": anything, "seed": anything}, "simulation")
+    calibration = section({"kind": st.one_of(st.sampled_from(["apriori", "aposteriori", "x"]), junk),
+                           "B_l": anything, "B_u": anything}, "calibration")
+    agent = mostly(st.fixed_dictionaries({"id": st.one_of(st.text(max_size=3), junk), "system": system,
+                                          "privacy": privacy}), junk)
+    document = st.one_of(
+        st.fixed_dictionaries({}, optional={"system": system, "privacy": privacy, "simulation": simulation,
+                                            "calibration": calibration}),
+        st.fixed_dictionaries({"agents": st.one_of(st.lists(agent, max_size=2), junk)},
+                              optional={"simulation": simulation, "calibration": calibration}))
+    # unknown top-level keys come with the junk
+    return mostly(document, junk)
+
+
+class TestLoadsConfigProperty:
+    # every document parses or raises a DPKalmanError, never another exception
+    @given(doc=config_documents())
+    @example(doc=case_study_doc())
+    @settings(max_examples=400, deadline=None)
+    def test_parses_or_raises_a_library_error(self, doc):
+        # json.dumps writes NaN, Infinity and -Infinity, which json.loads
+        # reads back before the number rule rejects them
+        try:
+            loads_config(json.dumps(doc))
+        except dpkalman.DPKalmanError:
+            pass
+
+    @given(text=st.one_of(st.text(max_size=40),
+                          st.builds(lambda doc, cut: json.dumps(doc)[:cut], config_documents(), st.integers(0, 40))))
+    @settings(max_examples=200, deadline=None)
+    def test_any_text_parses_or_raises_a_config_error(self, text):
+        try:
+            loads_config(text)
+        except ConfigError:
+            pass

@@ -5,15 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dpkalman import (
+    AgentSpec,
     FilterTrajectory,
     PrivacyConfig,
     SystemModel,
     ValidationError,
+    compose,
     run_filter,
     solve_filter,
 )
 from dpkalman.errors import DimensionMismatchError
 from dpkalman.filtering import FILTER_WINDOW
+from dpkalman.linalg import block_diag
 from helpers import any_scalar, case_study_system, reference_paths
 
 LN3 = math.log(3.0)
@@ -177,6 +180,26 @@ def slow_scalar_solution():
     return solve_filter(system, sigma)
 
 
+def network_solution():
+    """A composed network shaped like the benchmark's filter workload: a
+    seeded mix of six case-study agents (n = q = 2) and six scalar decays
+    (n = q = 1), each with its own privacy level, so F_t is block diagonal
+    with exact zeros off the blocks. Returns the solution and the block mask."""
+    rng = np.random.default_rng(12)
+    specs = []
+    for i, kind in enumerate(rng.permutation([0, 1] * 6)):
+        if kind == 0:
+            system = case_study_system()
+        else:
+            system = SystemModel(H=[[rng.uniform(0.3, 0.9)]], C=[[1.0]], W=[[1.0]], x0_hat=[0.0])
+        epsilon = float(np.exp(rng.uniform(math.log(0.5), math.log(2.0))))
+        privacy = PrivacyConfig.for_system(system, epsilon=epsilon, delta=1e-3, adjacency_B=1.0)
+        specs.append(AgentSpec(id=f"agent{i:02d}", system=system, privacy=privacy))
+    network = compose(specs)
+    blocks = block_diag([np.ones((a.system.n, a.system.n)) for a in specs])
+    return solve_filter(network.system, network.sigma), blocks
+
+
 def plain_filter(sol, y_tilde, x0_hat):
     """Per-step reference: estimate p + K(y - Cp), then predict H est."""
     system, gain = sol.system, sol.riccati.gain
@@ -234,6 +257,16 @@ class TestWholeTrajectory:
         y = np.random.default_rng(T).normal(scale=3.0, size=(T, 1))
         states = run_filter(sol, y, sol.system.x0_hat)
         assert_close_to_scale(trajectory(states), plain_filter(sol, y, sol.system.x0_hat), 1e-12)
+
+    @pytest.mark.parametrize("T", [1, L, L + 1, 2000])
+    def test_composed_network(self, T):
+        sol, blocks = network_solution()
+        assert (sol.system.n, sol.system.q) == (18, 18)
+        assert np.all(sol.F_t[blocks == 0.0] == 0.0)
+        y = np.random.default_rng(T).normal(scale=3.0, size=(T, 18))
+        x0 = np.random.default_rng([T, 0]).normal(size=18)
+        traj = run_filter(sol, y, x0)
+        assert_close_to_scale((traj.x_hat_prior, traj.x_hat), plain_filter(sol, y, x0), 1e-12)
 
     def test_prediction_form_matrices(self):
         sol = dense_solution(5, 2)

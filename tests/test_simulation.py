@@ -133,6 +133,27 @@ class TestKernelInvariants:
                         per_trial = paths[:, burn:].mean(axis=1)
                         assert per_trial.mean() == pytest.approx(mean, rel=1e-14, abs=0.0)
 
+    def test_finite_per_trial_means_give_a_finite_summary(self):
+        # squared errors near 1e306: each per-trial mean is finite, but the
+        # plain sum over 2000 trials and the squares of their spread are not
+        system = SystemModel(H=0.5 * np.eye(2), C=np.eye(2), W=1e306 * np.eye(2), x0_hat=np.zeros(2))
+        privacy = PrivacyConfig.for_system(system, epsilon=1.0, delta=0.01, adjacency_B=1.0)
+        config = SimulationConfig(system=system, privacy=privacy, horizon_T=3, trials=2000, seed=1)
+        full = simulate(config)
+        assert simulate(config, paths=False).summary == full.summary
+        s = full.summary
+        for paths, mean, se in ((full.sq_err_prior, s.mean_sq_err_prior, s.stderr_sq_err_prior),
+                                (full.sq_err_post, s.mean_sq_err_post, s.stderr_sq_err_post)):
+            per_trial = paths[:, s.burn_in:].mean(axis=1)
+            assert np.all(np.isfinite(per_trial))
+            # a power of two keeps the scaled values exact
+            scale = 2.0 ** math.frexp(per_trial.max())[1]
+            assert mean / scale == pytest.approx((per_trial / scale).mean(), rel=1e-13, abs=0.0)
+            want_se = (per_trial / scale).std(ddof=1) / math.sqrt(2000)
+            assert se / scale == pytest.approx(want_se, rel=1e-13, abs=0.0)
+        with np.errstate(over="ignore"):
+            assert math.isinf(full.sq_err_prior[:, s.burn_in:].mean(axis=1).sum())
+
 
 class TestWriteCsv:
     def test_extra_memory_is_a_few_rows(self, tmp_path):
