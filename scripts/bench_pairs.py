@@ -17,7 +17,12 @@ minus 1), ``parent_iqr``, ``pairs_change_better``, the pairs of one seed in
 which the change reads better in the metric's ``better`` direction, ties
 counting for neither side, and ``gain_shown``: whether at least ten pairs ran,
 the change is better in at least 9/10 of them, and its median beats the
-parent's by more than ``parent_iqr`` in that direction. Traced runs
+parent's by more than ``parent_iqr`` in that direction; and ``within_bound``,
+the no-regression rule with that metric's ``bound``: true when the change's
+median is worse than the parent's by no more than ``bound`` of the parent's
+median, false when it is worse by more, and "unresolved" when the parent's
+IQR exceeds ``bound`` of its median, unless every change run beats every
+parent run. Traced runs
 (``--trace 1``) are kept whole under ``per_layer``. These are the ``runs``,
 ``summary`` and ``per_layer`` blocks of a ``BENCH_<pr>.json`` file.
 """
@@ -66,8 +71,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
 
     ``runs`` are untraced run records (workload, seed, side, one value per
     metric, attempted, failed); ``metrics`` are ``BENCHMARK.json``'s
-    ``end_to_end`` entries, each with a ``name`` and ``better`` of "lower" or
-    "higher".
+    ``end_to_end`` entries, each with a ``name``, ``better`` of "lower" or
+    "higher", and a relative ``bound``.
     """
     summary = {}
     for workload in sorted({r["workload"] for r in runs}):
@@ -85,6 +90,12 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             parent, change = _stats(sides["parent"]), _stats(sides["change"])
             better = sum(sign * (p["change"][name] - p["parent"][name]) < 0 for p in pairs)
             iqr = parent["q3"] - parent["q1"]
+            bound, base = metric["bound"], parent["median"]
+            if iqr > bound * base and not all(sign * (c - p) < 0 for c in sides["change"]
+                                              for p in sides["parent"]):
+                within = "unresolved"
+            else:
+                within = sign * (change["median"] - base) <= bound * base
             block[name] = {
                 "parent": parent,
                 "change": change,
@@ -93,6 +104,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                 "pairs_change_better": f"{better}/{len(pairs)}",
                 "gain_shown": (len(pairs) >= 10 and 10 * better >= 9 * len(pairs)
                                and sign * (parent["median"] - change["median"]) > iqr),
+                "within_bound": within,
             }
         block["failed"] = {s: f"{sum(r['failed'] for r in mine if r['side'] == s)}/"
                               f"{sum(r['attempted'] for r in mine if r['side'] == s)}"
@@ -144,7 +156,8 @@ def main(argv=None) -> int:
                 print(f"{workload:15} {name:17} parent {s['parent']['median']:.6g} "
                       f"change {s['change']['median']:.6g} ({s['change_vs_parent']:+.1%}), "
                       f"parent IQR {s['parent_iqr']:.3g}, change better {s['pairs_change_better']}"
-                      f"{', gain shown' if s['gain_shown'] else ''}")
+                      f"{', gain shown' if s['gain_shown'] else ''}, within bound "
+                      f"{s['within_bound']}")
         print(f"{workload:15} failed            parent {block['failed']['parent']} "
               f"change {block['failed']['change']}")
     return 0

@@ -303,13 +303,34 @@ def simulate(config: SimulationConfig, *, threads: int = 1, paths: bool = True) 
     )
 
 
+def _float_texts(row: np.ndarray) -> list[str]:
+    """``repr(float(x))`` for each entry of a C-ordered 1-D float64 array.
+
+    orjson's shortest round-trip digits and notation equal ``repr``'s for
+    1e-4 <= |x| < 1e16. Outside that range ``repr`` writes an exponent
+    (``1e-05``, ``1e+16``) where orjson writes ``0.00001`` or ``1e16``, and
+    orjson writes ``null`` for inf and nan, so those entries keep ``repr``.
+    """
+    # imported here so that the commands that write no CSV skip its import
+    import orjson
+
+    if not row.size:
+        return []
+    texts = orjson.dumps(row, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode("ascii").split(",")
+    a = np.abs(row)
+    for i in np.flatnonzero(~((a >= 1e-4) & (a < 1e16))).tolist():
+        texts[i] = repr(float(row[i]))
+    return texts
+
+
 def write_csv(result: SimulationResult, path) -> None:
     """Write one row per (trial, k): LF line endings, full-precision floats.
 
     Needs the per-step paths, so ``result`` must come from a
-    ``simulate(..., paths=True)`` run. Each row costs two shortest-round-trip
-    ``repr`` calls, one per squared error; every other field of a row is a
-    string built once per call.
+    ``simulate(..., paths=True)`` run. The squared errors are written as
+    their ``repr``, a trial's prior errors by one compiled orjson call and
+    its posterior errors by another (see ``_float_texts``); every other
+    field of a row is a string built once per call.
     """
     if result.sq_err_prior is None:
         raise ValidationError("write_csv needs per-step paths; simulate with paths=True")
@@ -340,6 +361,6 @@ def write_csv(result: SimulationResult, path) -> None:
             np.copyto(scratch[1, :m], result.sq_err_post[lo:lo + m])
             for i in range(m):
                 parts[0::6] = [str(lo + i)] * T
-                parts[2::6] = map(repr, scratch[0, i].tolist())
-                parts[4::6] = map(repr, scratch[1, i].tolist())
+                parts[2::6] = _float_texts(scratch[0, i])
+                parts[4::6] = _float_texts(scratch[1, i])
                 fh.write("".join(parts))

@@ -8,7 +8,8 @@ _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "wall_s", "better": "lower"}, {"name": "throughput_per_s", "better": "higher"}]
+METRICS = [{"name": "wall_s", "better": "lower", "bound": 0.25},
+           {"name": "throughput_per_s", "better": "higher", "bound": 0.25}]
 
 
 def fake_run(seed, side, wall_s, throughput_per_s, failed=0):
@@ -61,3 +62,25 @@ def test_gain_shown_needs_nine_pairs_in_ten_and_a_gap_beyond_the_parent_iqr():
     assert gain_shown(faster[:9] + [parent[9]]) == (True, True)  # a tie counts for neither side
     assert gain_shown(faster, seeds=range(100, 110)) == (False, False)  # no pairs
     assert gain_shown(faster[:9], seeds=range(1, 10)) == (False, False)  # fewer than ten pairs
+
+
+def test_within_bound_follows_the_no_regression_rule():
+    def within_bound(parent, change):
+        runs = [fake_run(s, "parent", p, 10.0 / p) for s, p in enumerate(parent)]
+        runs += [fake_run(s, "change", c, 10.0 / c) for s, c in enumerate(change)]
+        block = bench_pairs.summarize(runs, METRICS)["w"]
+        return block["wall_s"]["within_bound"], block["throughput_per_s"]["within_bound"]
+
+    steady = [1.0, 1.01, 0.99]  # median 1.0, relative IQR 0.01
+    assert within_bound(steady, [1.2, 1.21, 1.19]) == (True, True)  # 20 % worse
+    assert within_bound(steady, [1.4, 1.41, 1.39]) == (False, False)  # 40 % worse
+    assert within_bound(steady, [0.5, 0.51, 0.49]) == (True, True)  # better
+    # each metric in its own direction: 30 % more wall time is 23 % less
+    # throughput, since throughput is 10 / wall
+    assert within_bound(steady, [1.3, 1.31, 1.29]) == (False, True)
+    # a parent IQR beyond the bound leaves the verdict open, however the
+    # medians compare, unless every change run beats every parent run
+    noisy = [1.0, 1.6, 2.2]  # median 1.6, IQR 0.6
+    assert within_bound(noisy, [1.6, 1.6, 1.6]) == ("unresolved", "unresolved")
+    assert within_bound(noisy, [0.5, 0.9, 2.3]) == ("unresolved", "unresolved")
+    assert within_bound(noisy, [0.5, 0.7, 0.9]) == (True, True)

@@ -2,12 +2,13 @@ import dataclasses
 import hashlib
 import math
 import os
+import sys
 import tracemalloc
 from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dpkalman import (
     DPKalmanError,
@@ -22,7 +23,7 @@ from dpkalman import (
 )
 from dpkalman.config import build_agents, load_config
 from dpkalman.rng import STREAM_PRIVACY, STREAM_PROCESS, gaussian_generator
-from dpkalman.simulation import BURN_IN, CSV_HEADER, NOISE_BLOCK
+from dpkalman.simulation import BURN_IN, CSV_HEADER, NOISE_BLOCK, _float_texts
 from helpers import case_study_system, reference_paths
 from test_cli import CONFIGS
 from test_network import agent, scalar_agent
@@ -155,6 +156,13 @@ class TestKernelInvariants:
             assert math.isinf(full.sq_err_prior[:, s.burn_in:].mean(axis=1).sum())
 
 
+# where repr and orjson's notations part, and values on either side
+_REPR_EDGES = [float(x) for x in (
+    np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e-4, 1), np.nextafter(1e16, 0), 1e16,
+    np.nextafter(1e16, np.inf), 5e-324, sys.float_info.max, 0.0, 1e15, 2**53 + 2,
+    math.inf, math.nan)]
+
+
 class TestWriteCsv:
     def test_extra_memory_is_a_few_rows(self, tmp_path):
         # the whole array as Python floats would take about 4 MB here, and
@@ -170,18 +178,29 @@ class TestWriteCsv:
 
     def test_bytes_match_a_row_by_row_reference(self, tmp_path):
         # 17 trials cross the edges of the chunks write_csv copies at a time;
-        # T = 1 leaves one piece of each kind per trial
-        for horizon in (9, 1):
-            res = simulate(case_config(trials=17, horizon=horizon))
-            path = tmp_path / f"out{horizon}.csv"
+        # T = 1 leaves one piece of each kind per trial; the third result's
+        # paths are set by hand to values whose repr orjson does not write
+        base = simulate(case_config(trials=17, horizon=9))
+        odd = np.resize(_REPR_EDGES + [1.5, 0.1, 123456.789], (9, 17)).T
+        hand_built = dataclasses.replace(base, sq_err_prior=odd, sq_err_post=odd[::-1])
+        for i, res in enumerate((base, simulate(case_config(trials=17, horizon=1)), hand_built)):
+            path = tmp_path / f"out{i}.csv"
             write_csv(res, path)
             tail = ",".join(repr(float(b)) for b in (*res.bound_prior, *res.bound_post))
             rows = [CSV_HEADER]
             for t in range(17):
-                for k in range(horizon):
+                for k in range(res.horizon_T):
                     rows.append(f"{t},{k},{float(res.sq_err_prior[t, k])!r},"
                                 f"{float(res.sq_err_post[t, k])!r},{tail}")
             assert path.read_bytes() == ("\n".join(rows) + "\n").encode("ascii")
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    max_size=40))
+    @example(_REPR_EDGES)
+    @example([-x for x in _REPR_EDGES])
+    def test_float_texts_equal_repr(self, values):
+        row = np.array(values, dtype=np.float64)
+        assert _float_texts(row) == [repr(float(x)) for x in values]
 
     def test_bytes_pinned_on_the_two_agent_network(self, tmp_path):
         # the exact bytes of a 9-trial run, one trial past a copy chunk, on
