@@ -106,57 +106,50 @@ def parse_vector(obj, context: str) -> np.ndarray:
     return np.array([_number(v, f"{context}[{i}]") for i, v in enumerate(obj)])
 
 
-def _parse_system(obj, context: str) -> SystemModel:
+def _section(obj, context: str, build, rules: dict, optional: frozenset = frozenset()):
+    # build(**fields) of a JSON object with the keys of rules, those in
+    # optional allowed to be missing; each present field is parsed by its
+    # rule under "context.field", in the order of rules, and a record that
+    # build rejects is reported under context
     obj = _require_mapping(obj, context)
-    _check_keys(obj, {"H", "C", "W", "x0_hat"}, set(), context)
-    matrices = {name: parse_matrix(obj[name], f"{context}.{name}") for name in ("H", "C", "W")}
-    x0_hat = parse_vector(obj["x0_hat"], f"{context}.x0_hat")
+    _check_keys(obj, set(rules) - optional, optional, context)
+    fields = {name: rule(obj[name], f"{context}.{name}") for name, rule in rules.items() if name in obj}
     try:
-        return SystemModel(**matrices, x0_hat=x0_hat)
+        return build(**fields)
     except Exception as exc:
         raise ConfigError(f"{context}: {exc}")
 
 
+def _sigma(raw, context: str) -> float | tuple[float, ...]:
+    if isinstance(raw, list):
+        return tuple(float(v) for v in parse_vector(raw, context))
+    return _number(raw, context)
+
+
+def _kind(kind, context: str) -> str:
+    if kind not in tuple(CALIBRATORS):  # a tuple, since JSON may give an unhashable list
+        raise ConfigError(f"{context} must be '{APRIORI}' or '{APOSTERIORI}', got {kind!r}")
+    return kind
+
+
+def _parse_system(obj, context: str) -> SystemModel:
+    return _section(obj, context, SystemModel,
+                    {"H": parse_matrix, "C": parse_matrix, "W": parse_matrix, "x0_hat": parse_vector})
+
+
 def _parse_privacy(obj, context: str) -> PrivacySpec:
-    obj = _require_mapping(obj, context)
-    _check_keys(obj, {"epsilon", "delta", "adjacency_B"}, {"sigma"}, context)
-    sigma = None
-    if "sigma" in obj:
-        raw = obj["sigma"]
-        if isinstance(raw, list):
-            sigma = tuple(float(v) for v in parse_vector(raw, f"{context}.sigma"))
-        else:
-            sigma = _number(raw, f"{context}.sigma")
-    return PrivacySpec(
-        epsilon=_number(obj["epsilon"], f"{context}.epsilon"),
-        delta=_number(obj["delta"], f"{context}.delta"),
-        adjacency_B=_number(obj["adjacency_B"], f"{context}.adjacency_B"),
-        sigma=sigma,
-    )
+    return _section(obj, context, PrivacySpec,
+                    {"sigma": _sigma, "epsilon": _number, "delta": _number, "adjacency_B": _number},
+                    optional=frozenset({"sigma"}))
 
 
 def _parse_simulation(obj, context: str) -> SimulationSpec:
-    obj = _require_mapping(obj, context)
-    _check_keys(obj, {"horizon_T", "trials", "seed"}, set(), context)
     # the seed is taken mod 2**64
-    return SimulationSpec(
-        horizon_T=_as_size(obj["horizon_T"], f"{context}.horizon_T"),
-        trials=_as_size(obj["trials"], f"{context}.trials"),
-        seed=_as_int(obj["seed"], f"{context}.seed"),
-    )
+    return _section(obj, context, SimulationSpec, {"horizon_T": _as_size, "trials": _as_size, "seed": _as_int})
 
 
 def _parse_calibration(obj, context: str) -> CalibrationSpec:
-    obj = _require_mapping(obj, context)
-    _check_keys(obj, {"kind", "B_l", "B_u"}, set(), context)
-    kind = obj["kind"]
-    if kind not in tuple(CALIBRATORS):  # a tuple, since JSON may give an unhashable list
-        raise ConfigError(f"{context}.kind must be '{APRIORI}' or '{APOSTERIORI}', got {kind!r}")
-    return CalibrationSpec(
-        kind=kind,
-        B_l=_number(obj["B_l"], f"{context}.B_l"),
-        B_u=_number(obj["B_u"], f"{context}.B_u"),
-    )
+    return _section(obj, context, CalibrationSpec, {"kind": _kind, "B_l": _number, "B_u": _number})
 
 
 def _parse_agents(obj, context: str) -> tuple[AgentConfig, ...]:
@@ -189,19 +182,15 @@ def loads_config(text: str) -> Config:
     except RecursionError:
         raise ConfigError("invalid JSON: nested too deeply") from None
     doc = _require_mapping(doc, "config")
-    _check_keys(doc, set(), {"system", "agents", "privacy", "simulation", "calibration"}, "config")
+    sections = {"system": _parse_system, "agents": _parse_agents, "privacy": _parse_privacy,
+                "simulation": _parse_simulation, "calibration": _parse_calibration}
+    _check_keys(doc, set(), set(sections), "config")
     if "system" in doc and "agents" in doc:
         raise ConfigError("config: 'system' and 'agents' are mutually exclusive")
     if "privacy" in doc and "agents" in doc:
         raise ConfigError("config: with 'agents', privacy is per agent; drop the top-level section")
     try:
-        return Config(
-            system=_parse_system(doc["system"], "system") if "system" in doc else None,
-            agents=_parse_agents(doc["agents"], "agents") if "agents" in doc else None,
-            privacy=_parse_privacy(doc["privacy"], "privacy") if "privacy" in doc else None,
-            simulation=_parse_simulation(doc["simulation"], "simulation") if "simulation" in doc else None,
-            calibration=_parse_calibration(doc["calibration"], "calibration") if "calibration" in doc else None,
-        )
+        return Config(**{name: parse(doc[name], name) for name, parse in sections.items() if name in doc})
     except ValidationError as exc:  # linalg's number and integer rules name the field
         raise ConfigError(str(exc)) from None
 

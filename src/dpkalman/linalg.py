@@ -141,12 +141,12 @@ def observability_check(H, C) -> bool:
     return _full_krylov_rank(H.T, C.T)
 
 
-def symmetric_factor(W) -> np.ndarray:
+def symmetric_factor(W, name: str = "W") -> np.ndarray:
     """Factor D with W = D D^T via the eigendecomposition of symmetric PSD W."""
-    W = require_symmetric(as_matrix(W, "W"), "W")
+    W = require_symmetric(as_matrix(W, name), name)
     w, U = np.linalg.eigh(W)
-    if w[0] < -1e-9:
-        raise FactorizationError(f"W has a negative eigenvalue {w[0]:.3e}; cannot factor as D D^T")
+    if w[0] < -1e-9 * abs(w[-1]):  # relative, so W may be in any units; rounding is clipped
+        raise FactorizationError(f"{name} has a negative eigenvalue {w[0]:.3e}; cannot factor as D D^T")
     return U * np.sqrt(np.clip(w, 0.0, None))
 
 
@@ -266,18 +266,25 @@ def _posterior(sigma: np.ndarray, info: np.ndarray) -> np.ndarray:
     return np.linalg.inv(np.linalg.inv(sigma) + info)
 
 
+def _in_float_range(reduce, x: np.ndarray) -> float:
+    # reduce(x), for a reduce with reduce(c x) = c reduce(x) (c > 0), redone on
+    # x / max|x| if it passes float range, so a finite x keeps a finite value;
+    # callers run it under errstate(over="ignore")
+    value = reduce(x)
+    if math.isfinite(value):
+        return value
+    big = float(np.max(np.abs(x)))
+    return big * reduce(x / big) if math.isfinite(big) else value
+
+
 def _frobenius(x: np.ndarray) -> float:
-    # np.linalg.norm(x) without its dispatch: the same ravel, dot and sqrt.
-    # A sum of squares past float range is redone scaled by the largest
-    # entry, so a finite matrix keeps a finite norm; callers run it under
-    # errstate(over="ignore")
+    # np.linalg.norm(x) without its dispatch: the same ravel, dot and sqrt,
+    # inline for the Riccati loop; a sum of squares past float range goes
+    # through _in_float_range
     r = x.ravel(order="K")
     norm = math.sqrt(r.dot(r))
     if norm == math.inf:
-        big = float(np.max(np.abs(r)))
-        if math.isfinite(big):
-            s = r / big
-            return big * math.sqrt(s.dot(s))
+        return _in_float_range(lambda s: math.sqrt(s.dot(s)), r)
     return norm
 
 
@@ -296,8 +303,10 @@ def solve_dare(system: SystemModel, V) -> RiccatiSolution:
     Iterates sigma <- H (sigma^-1 + C^T V^-1 C)^-1 H^T + W from sigma = W,
     symmetrizing each iterate, and returns the first iterate whose relative
     change is below ``DARE_CHANGE_TOL`` and whose fixed-point residual
-    |map(sigma) - sigma|_F / |sigma|_F is at most ``DARE_RESIDUAL_TOL``, with
-    ``sigma_bar`` the posterior inside that same map; ``NoConvergenceError``
+    |map(sigma) - sigma|_F / |sigma|_F is at most ``DARE_RESIDUAL_TOL``, as is
+    and on D sigma D, D = diag(sigma)^(-1/2), so that each diagonal block
+    converges on its own scale; ``sigma_bar`` is the posterior inside that
+    same map, and the residual reported the unscaled one; ``NoConvergenceError``
     after ``DARE_MAX_ITERATIONS``, or at the first residual that is not
     finite. The start at W is valid because the solution dominates W.
     """
@@ -325,7 +334,10 @@ def solve_dare(system: SystemModel, V) -> RiccatiSolution:
             inner, nxt, step = _riccati_pass(sigma, info, H, Ht, W)
             residual = step / sigma_norm
             if change < DARE_CHANGE_TOL and residual <= DARE_RESIDUAL_TOL:
-                break
+                d = 1.0 / np.sqrt(np.diag(sigma))  # D X D = (X * d) * d[:, None], no factor overflowing
+                scaled = _frobenius((nxt - sigma) * d * d[:, None]) / _frobenius(sigma * d * d[:, None])
+                if scaled <= DARE_RESIDUAL_TOL:
+                    break
             if not math.isfinite(residual):  # NaN, or past float range for good: the iterates grow
                 raise NoConvergenceError(f"Riccati iteration diverged after {iterations} iterations "
                                          f"(residual {residual:.3e})")

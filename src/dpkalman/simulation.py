@@ -20,14 +20,14 @@ Each span of blocks run by one thread gets its noise buffers once, before the
 Riccati solve, so a size that cannot be allocated fails before any work; every
 block of the span refills them. The privacy noise is drawn unscaled and the
 noise scales enter through the gain, v diag(sigma) K_t = v (diag(sigma) K_t),
-folded once per span. Each step's squared errors form one contiguous
-row of the block's trials, and each trial's errors past the burn-in are summed
-in time order as the steps run. The per-step paths are stored time-major and
-returned as ``(trials, T)`` transposed views of that ``(T, trials)`` storage,
-so they are not C-contiguous; ``np.ascontiguousarray`` gives a C-ordered copy.
-``simulate(..., paths=False)`` keeps only the per-trial means, so its memory is
-bounded by one block's noise instead of trials x T; the summary has the same
-bits as with the paths kept.
+folded once per span. The prior and posterior errors are one (2, block, n)
+array, and each step writes both squared errors as one (2, m) slice of a
+time-major (2, rows, trials) output; each trial's errors past the burn-in are
+summed in time order as the steps run. With rows = T the paths are returned as
+``(trials, T)`` transposed views of its two halves, so they are not
+C-contiguous (``np.ascontiguousarray`` gives a C-ordered copy); with
+``paths=False`` every step reuses one row, so memory is bounded by one block's
+noise instead of trials x T, and the summary has the same bits.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ import numpy as np
 from .bounds import aposteriori_trace_bounds, apriori_trace_bounds, to_json
 from .errors import ValidationError
 from .filtering import FilterSolution, solve_filter
-from .linalg import SystemModel, _as_int, _as_size, as_matrix, require_symmetric, symmetric_factor
+from .linalg import SystemModel, _as_int, _as_size, _in_float_range, as_matrix, require_symmetric, symmetric_factor
 from .network import NetworkModel
 from .privacy import PrivacyConfig
 from .rng import STREAM_INIT, STREAM_PRIVACY, STREAM_PROCESS, gaussian_generator
@@ -94,6 +94,8 @@ class SimulationConfig:
             n = self.system.system.n if isinstance(self.system, NetworkModel) else self.system.n
             if cov.shape != (n, n):
                 raise ValidationError(f"x0_cov must be {n}x{n}, got shape {cov.shape}")
+            symmetric_factor(cov, "x0_cov")  # a covariance is positive semidefinite
+            cov.setflags(write=False)
             object.__setattr__(self, "x0_cov", cov)
 
     def resolve(self) -> tuple[SystemModel, np.ndarray]:
@@ -123,8 +125,9 @@ class SimulationSummary:
 class SimulationResult:
     """Per-step squared errors, (trials, T) arrays, plus bounds and summary.
 
-    The arrays are transposed views of time-major ``(T, trials)`` storage, so
-    row i (trial i) is strided and the arrays are not C-contiguous;
+    The arrays are transposed views of the two ``(T, trials)`` halves of one
+    time-major ``(2, T, trials)`` array, so row i (trial i) is strided and
+    the arrays are not C-contiguous;
     ``np.ascontiguousarray`` gives a C-ordered copy. They are ``None`` when
     :func:`simulate` ran with ``paths=False``.
     """
@@ -147,58 +150,46 @@ class SimulationResult:
 
 
 def _sq_err(e: np.ndarray, out: np.ndarray) -> None:
-    # Writes (e ** 2).sum(axis=1) into out by adding the squared state
+    # Writes (e ** 2).sum(axis=-1) into out by adding the squared state
     # components left to right, at a fraction of the cost of a reduce along
     # a short axis.
     d = e * e
-    if d.shape[1] == 1:
-        np.copyto(out, d[:, 0])
+    if d.shape[-1] == 1:
+        np.copyto(out, d[..., 0])
         return
-    np.add(d[:, 0], d[:, 1], out=out)
-    for j in range(2, d.shape[1]):
-        out += d[:, j]
+    np.add(d[..., 0], d[..., 1], out=out)
+    for j in range(2, d.shape[-1]):
+        out += d[..., j]
 
 
 def _mean_and_stderr(x: np.ndarray) -> tuple[float, float]:
-    # The mean of the per-trial means and its standard error. A value whose
-    # sum, or a spread whose square, passes float range is redone scaled by
-    # the largest |x|, as linalg._frobenius does, so finite per-trial means
-    # give a finite summary; the bits are the plain ones wherever those are
-    # finite.
+    # The mean of the per-trial means and its standard error, kept finite for
+    # finite per-trial means by linalg._in_float_range.
+    root_n = math.sqrt(len(x))
     with np.errstate(over="ignore"):
-        mean = float(x.mean())
-        se = float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
-    if not (math.isfinite(mean) and math.isfinite(se)):
-        big = float(np.max(np.abs(x)))
-        if math.isfinite(big):
-            s = x / big
-            if not math.isfinite(mean):
-                mean = big * float(s.mean())
-            if not math.isfinite(se):
-                se = big * float(s.std(ddof=1) / math.sqrt(len(x)))
-    return mean, se
+        return (_in_float_range(lambda s: float(s.mean()), x),
+                _in_float_range(lambda s: float(s.std(ddof=1) / root_n), x) if len(x) > 1 else 0.0)
 
 
 def _run_trials(lo: int, hi: int, w_buf: np.ndarray, v_buf: np.ndarray, sol: FilterSolution,
                 sigma: np.ndarray, seed: int, T: int, burn: int, x0_factor: np.ndarray | None,
-                out_prior: np.ndarray | None, out_post: np.ndarray | None,
-                mean_prior: np.ndarray, mean_post: np.ndarray) -> None:
+                out: np.ndarray, means: np.ndarray) -> None:
     # Simulates trials [lo, hi) one noise block at a time and writes their
-    # per-trial means past the burn-in into rows [lo, hi) of the mean
-    # vectors. lo is a multiple of NOISE_BLOCK and so is hi unless it is the
-    # trial count, so no block is split between calls. w_buf and v_buf are
-    # the span's (block, T, n) and (block, T, q) noise buffers, refilled by
-    # every block. Each step's squared errors form one contiguous row of the
-    # block's trials: row k of the time-major (T, trials) output arrays when
-    # given, else one reused row per error.
+    # per-trial means past the burn-in into columns [lo, hi) of the (2,
+    # trials) means, prior then posterior. lo is a multiple of NOISE_BLOCK
+    # and so is hi unless it is the trial count, so no block is split
+    # between calls. w_buf and v_buf are the span's (block, T, n) and
+    # (block, T, q) noise buffers, refilled by every block. Step k writes
+    # both squared errors to row k % rows of the (2, rows, trials) output:
+    # rows == T keeps every step, rows == 1 reuses one row.
     system = sol.system
     A_t, H_t, n = sol.A_t, sol.H_t, system.n
+    rows = out.shape[1]
     # the noise scales folded into the gain (module docstring): a (q, n)
     # product per span instead of a pass over every block's privacy noise
     sigma_k_t = sigma[:, None] * sol.K_t
     chol_w_t = np.ascontiguousarray(np.linalg.cholesky(system.W).T)
-    if out_prior is None:
-        step_prior, step_post = np.empty(len(w_buf)), np.empty(len(w_buf))
+    errors = np.empty((2, len(w_buf), n))
     for start in range(lo, hi, NOISE_BLOCK):
         stop = min(start + NOISE_BLOCK, hi)
         m, block = stop - start, start // NOISE_BLOCK
@@ -207,31 +198,23 @@ def _run_trials(lo: int, hi: int, w_buf: np.ndarray, v_buf: np.ndarray, sol: Fil
         w, v = w_buf[:m], v_buf[:m]
         gaussian_generator(seed, trial=block, stream=STREAM_PROCESS).standard_normal(out=w)
         gaussian_generator(seed, trial=block, stream=STREAM_PRIVACY).standard_normal(out=v)
+        prior, post = e = errors[:, :m]
         if x0_factor is None:
-            e = np.zeros((m, n))
+            prior[:] = 0.0
         else:
-            e = gaussian_generator(seed, trial=block, stream=STREAM_INIT).standard_normal((m, n)) @ x0_factor.T
-        if out_prior is None:
-            sq_prior, sq_post = step_prior[:m], step_post[:m]
-        # per-trial sums past the burn-in, added in time order whether or
-        # not the paths are kept, so both give the same bits
-        sum_prior, sum_post = mean_prior[start:stop], mean_post[start:stop]
-        sum_prior[:] = 0.0
-        sum_post[:] = 0.0
+            prior[:] = gaussian_generator(seed, trial=block, stream=STREAM_INIT).standard_normal((m, n)) @ x0_factor.T
+        sums = means[:, start:stop]
+        sums[:] = 0.0
         for k in range(T):
-            if out_prior is not None:
-                sq_prior, sq_post = out_prior[k, start:stop], out_post[k, start:stop]
-            post = e @ A_t
+            sq = out[:, k % rows, start:stop]
+            np.matmul(prior, A_t, out=post)
             post -= v[:, k] @ sigma_k_t
-            _sq_err(e, sq_prior)
-            _sq_err(post, sq_post)
+            _sq_err(e, sq)
             if k >= burn:
-                sum_prior += sq_prior
-                sum_post += sq_post
-            e = post @ H_t
-            e += w[:, k] @ chol_w_t
-        sum_prior /= T - burn
-        sum_post /= T - burn
+                sums += sq
+            np.matmul(post, H_t, out=prior)
+            prior += w[:, k] @ chol_w_t
+        sums /= T - burn
 
 
 def simulate(config: SimulationConfig, *, threads: int = 1, paths: bool = True) -> SimulationResult:
@@ -247,8 +230,8 @@ def simulate(config: SimulationConfig, *, threads: int = 1, paths: bool = True) 
     T, trials = config.horizon_T, config.trials
     threads = max(1, _as_int(threads, "threads"))
     try:
-        per_trial_prior, per_trial_post = np.empty(trials), np.empty(trials)
-        out_prior, out_post = (np.empty((T, trials)), np.empty((T, trials))) if paths else (None, None)
+        means = np.empty((2, trials))
+        out = np.empty((2, T if paths else 1, trials))
         # spans start at block boundaries, so threads never split a noise
         # block; integer ceiling division, so that no thread count rounds the
         # chunk to 0
@@ -266,8 +249,7 @@ def simulate(config: SimulationConfig, *, threads: int = 1, paths: bool = True) 
     burn = min(BURN_IN, T - 1)
     x0_factor = symmetric_factor(config.x0_cov) if config.x0_cov is not None else None
 
-    args = (sol, sigma, config.seed, T, burn, x0_factor, out_prior, out_post,
-            per_trial_prior, per_trial_post)
+    args = (sol, sigma, config.seed, T, burn, x0_factor, out, means)
     if len(spans) == 1:
         _run_trials(0, trials, *buffers[0], *args)
     else:
@@ -281,8 +263,7 @@ def simulate(config: SimulationConfig, *, threads: int = 1, paths: bool = True) 
             for f in futures:
                 f.result()
 
-    mean_prior, se_prior = _mean_and_stderr(per_trial_prior)
-    mean_post, se_post = _mean_and_stderr(per_trial_post)
+    (mean_prior, se_prior), (mean_post, se_post) = map(_mean_and_stderr, means)
     summary = SimulationSummary(
         mean_sq_err_prior=mean_prior,
         mean_sq_err_post=mean_post,
@@ -293,8 +274,8 @@ def simulate(config: SimulationConfig, *, threads: int = 1, paths: bool = True) 
         burn_in=burn,
     )
     return SimulationResult(
-        sq_err_prior=None if out_prior is None else out_prior.T,
-        sq_err_post=None if out_post is None else out_post.T,
+        sq_err_prior=out[0].T if paths else None,
+        sq_err_post=out[1].T if paths else None,
         bound_prior=(prior_rep.lower, prior_rep.upper),
         bound_post=(post_rep.lower, post_rep.upper),
         summary=summary,

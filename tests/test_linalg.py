@@ -174,6 +174,20 @@ class TestSolveDare:
         defect = np.linalg.norm(0.5 * (image + image.T) - S) / np.linalg.norm(S)
         assert ric.residual == pytest.approx(defect, rel=1e-6)
 
+    @pytest.mark.parametrize("w", [1e12, 1e20])
+    def test_small_block_beside_a_large_one_matches_scipy(self, w):
+        # the relative Frobenius residual of the whole sigma is blind to the
+        # block of variance 10 beside the one of variance w, so each variance
+        # is checked on its own scale; scipy's off-diagonal entry is off by
+        # 28 % at w = 1e20 (a 60-digit fixed-point iteration gives 5.62881,
+        # as solve_dare does), so the oracle is taken on the diagonal
+        H = case_study_system().H
+        V = np.diag([2.966**2] * 2)
+        system = SystemModel(H=H, C=np.eye(2), W=np.diag([w, 10.0]), x0_hat=np.zeros(2))
+        ric = solve_dare(system, V)
+        expected = solve_discrete_are(H.T, np.eye(2), system.W, V)
+        np.testing.assert_allclose(np.diag(ric.sigma), np.diag(expected), rtol=1e-7, atol=0)
+
     @pytest.mark.parametrize("epsilon,iterations", [(math.log(3.0), 14), (1e-3, 514)])
     def test_case_study_iteration_count(self, epsilon, iterations):
         # the fixed-point counts of the case study at the paper's epsilon and

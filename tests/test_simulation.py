@@ -116,7 +116,8 @@ class TestKernelInvariants:
     @pytest.mark.parametrize("trials", [1, NOISE_BLOCK - 1, NOISE_BLOCK, NOISE_BLOCK + 1,
                                         2 * NOISE_BLOCK + 37])
     @pytest.mark.parametrize("make_config,n", [pytest.param(case_config, 2, id="case-study"),
-                                               pytest.param(partial(dense_config, n=4), 4, id="dense-n4")])
+                                               pytest.param(partial(dense_config, n=4), 4, id="dense-n4"),
+                                               pytest.param(partial(dense_config, n=1), 1, id="dense-n1")])
     def test_paths_and_streamed_summary_agree(self, make_config, n, trials):
         # T = 1 leaves no burn-in, T = 40 leaves enough steps past it that
         # the order of the time sum shows; threads=3 splits the larger runs
@@ -436,6 +437,20 @@ class TestGaussianInitialSpread:
     def test_bad_spread_shape_rejected(self):
         with pytest.raises(ValidationError):
             case_config(x0_cov=np.eye(3))
+        # an indefinite spread fails when the config is built, naming x0_cov
+        with pytest.raises(ValidationError, match="x0_cov has a negative eigenvalue"):
+            case_config(x0_cov=np.diag([1.0, -1.0]))
+
+    def test_rank_deficient_spread_in_large_units_simulates(self):
+        # the smallest eigenvalue of this rank-1 matrix rounds to -4.8e-7, far
+        # below the largest (2.9e10) and so accepted as 0
+        v = np.array([2.0, 5.0])
+        config = case_config(trials=400, horizon=20, x0_cov=1e9 * np.outer(v, v))
+        assert not config.x0_cov.flags.writeable
+        res = simulate(config)
+        # the first prior error is the initial spread, of mean square tr(x0_cov)
+        assert res.sq_err_prior[:, 0].mean() == pytest.approx(1e9 * (v @ v), rel=0.25)
+        assert math.isfinite(res.summary.mean_sq_err_prior)
 
 
 class TestNetworkSimulation:
