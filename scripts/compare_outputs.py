@@ -1,10 +1,9 @@
 """Run every CLI command on the bundled configs in two checkouts and compare.
 
-    python3 scripts/compare_outputs.py --parent DIR --change DIR \
-        [--commands calibrate,bounds,...] [--configs case_study.json,...]
+    python3 scripts/compare_outputs.py --parent DIR --change DIR
 
-Each case is one command on one config of the change checkout's
-``scripts/configs/``: by default all five commands on every config there.
+Each case is one of the five commands on one config of the change checkout's
+``scripts/configs/``; every command runs on every config there.
 Each side runs it in a fresh interpreter as
 ``python -m dpkalman.cli <command> --config <config> --json`` with
 ``PYTHONPATH=<side>/src``, from a temporary directory of its own; ``simulate``
@@ -50,23 +49,19 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", required=True, type=Path, help="parent checkout")
     parser.add_argument("--change", required=True, type=Path, help="change checkout")
-    parser.add_argument("--commands", default=",".join(COMMANDS), help="comma-separated subset")
-    parser.add_argument("--configs", help="comma-separated config file names (default: all)")
     args = parser.parse_args(argv)
 
-    config_dir = args.change.resolve() / "scripts" / "configs"
-    configs = ([config_dir / name for name in args.configs.split(",")] if args.configs
-               else sorted(config_dir.glob("*.json")))
+    configs = sorted((args.change.resolve() / "scripts" / "configs").glob("*.json"))
     differing = 0
     for config in configs:
-        for command in args.commands.split(","):
+        for command in COMMANDS:
             parent = run_case(args.parent, command, config)
             change = run_case(args.change, command, config)
             diffs = [key for key in parent if parent[key] != change[key]]
             differing += bool(diffs)
             verdict = f"differ in {', '.join(diffs)}" if diffs else "identical"
             print(f"{command} {config.name}: {verdict} (exit {change['exit code']})", flush=True)
-    print(f"{differing} of {len(configs) * len(args.commands.split(','))} cases differ")
+    print(f"{differing} of {len(configs) * len(COMMANDS)} cases differ")
     return 1 if differing else 0
 
 

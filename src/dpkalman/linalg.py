@@ -145,7 +145,8 @@ def symmetric_factor(W, name: str = "W") -> np.ndarray:
     """Factor D with W = D D^T via the eigendecomposition of symmetric PSD W."""
     W = require_symmetric(as_matrix(W, name), name)
     w, U = np.linalg.eigh(W)
-    if w[0] < -1e-9 * abs(w[-1]):  # relative, so W may be in any units; rounding is clipped
+    # rounding leaves |w[0]| within about n eps |w[-1]|: clipped, in any units
+    if w[0] < -W.shape[0] * np.finfo(float).eps * abs(w[-1]):
         raise FactorizationError(f"{name} has a negative eigenvalue {w[0]:.3e}; cannot factor as D D^T")
     return U * np.sqrt(np.clip(w, 0.0, None))
 
@@ -266,11 +267,10 @@ def _posterior(sigma: np.ndarray, info: np.ndarray) -> np.ndarray:
     return np.linalg.inv(np.linalg.inv(sigma) + info)
 
 
-def _in_float_range(reduce, x: np.ndarray) -> float:
-    # reduce(x), for a reduce with reduce(c x) = c reduce(x) (c > 0), redone on
-    # x / max|x| if it passes float range, so a finite x keeps a finite value;
-    # callers run it under errstate(over="ignore")
-    value = reduce(x)
+def _in_float_range(reduce, x: np.ndarray, value: float) -> float:
+    # value = reduce(x), for a reduce with reduce(c x) = c reduce(x) (c > 0),
+    # redone on x / max|x| if it passed float range, so a finite x keeps a
+    # finite value; callers run reduce(x) under errstate(over="ignore")
     if math.isfinite(value):
         return value
     big = float(np.max(np.abs(x)))
@@ -284,7 +284,7 @@ def _frobenius(x: np.ndarray) -> float:
     r = x.ravel(order="K")
     norm = math.sqrt(r.dot(r))
     if norm == math.inf:
-        return _in_float_range(lambda s: math.sqrt(s.dot(s)), r)
+        return _in_float_range(lambda s: math.sqrt(s.dot(s)), r, norm)
     return norm
 
 

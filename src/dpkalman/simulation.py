@@ -89,14 +89,16 @@ class SimulationConfig:
                 raise ValidationError("a network carries per-agent privacy; top-level privacy must be None")
         elif self.privacy is None:
             raise ValidationError("a single-system simulation needs a privacy configuration")
+        factor = None
         if self.x0_cov is not None:
             cov = require_symmetric(as_matrix(self.x0_cov, "x0_cov"), "x0_cov")
             n = self.system.system.n if isinstance(self.system, NetworkModel) else self.system.n
             if cov.shape != (n, n):
                 raise ValidationError(f"x0_cov must be {n}x{n}, got shape {cov.shape}")
-            symmetric_factor(cov, "x0_cov")  # a covariance is positive semidefinite
+            factor = symmetric_factor(cov, "x0_cov")  # PSD; simulate draws the spread through it
             cov.setflags(write=False)
             object.__setattr__(self, "x0_cov", cov)
+        object.__setattr__(self, "_x0_factor", factor)
 
     def resolve(self) -> tuple[SystemModel, np.ndarray]:
         """The plain system to simulate and its noise-scale vector."""
@@ -166,9 +168,10 @@ def _mean_and_stderr(x: np.ndarray) -> tuple[float, float]:
     # The mean of the per-trial means and its standard error, kept finite for
     # finite per-trial means by linalg._in_float_range.
     root_n = math.sqrt(len(x))
+    reductions = (lambda s: float(s.mean()),
+                  lambda s: float(s.std(ddof=1) / root_n) if len(s) > 1 else 0.0)
     with np.errstate(over="ignore"):
-        return (_in_float_range(lambda s: float(s.mean()), x),
-                _in_float_range(lambda s: float(s.std(ddof=1) / root_n), x) if len(x) > 1 else 0.0)
+        return tuple(_in_float_range(f, x, f(x)) for f in reductions)
 
 
 def _run_trials(lo: int, hi: int, w_buf: np.ndarray, v_buf: np.ndarray, sol: FilterSolution,
@@ -247,9 +250,7 @@ def simulate(config: SimulationConfig, *, threads: int = 1, paths: bool = True) 
     post_rep = aposteriori_trace_bounds(system, sigma)
 
     burn = min(BURN_IN, T - 1)
-    x0_factor = symmetric_factor(config.x0_cov) if config.x0_cov is not None else None
-
-    args = (sol, sigma, config.seed, T, burn, x0_factor, out, means)
+    args = (sol, sigma, config.seed, T, burn, config._x0_factor, out, means)
     if len(spans) == 1:
         _run_trials(0, trials, *buffers[0], *args)
     else:

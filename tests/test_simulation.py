@@ -440,6 +440,9 @@ class TestGaussianInitialSpread:
         # an indefinite spread fails when the config is built, naming x0_cov
         with pytest.raises(ValidationError, match="x0_cov has a negative eigenvalue"):
             case_config(x0_cov=np.diag([1.0, -1.0]))
+        # a negative variance is not rounding, however large the other one
+        with pytest.raises(ValidationError, match="x0_cov has a negative eigenvalue"):
+            case_config(x0_cov=np.diag([1e10, -5.0]))
 
     def test_rank_deficient_spread_in_large_units_simulates(self):
         # the smallest eigenvalue of this rank-1 matrix rounds to -4.8e-7, far
