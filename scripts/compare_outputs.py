@@ -4,12 +4,15 @@
 
 Each case is one of the five commands on one config of the change checkout's
 ``scripts/configs/``; every command runs on every config there.
-Each side runs it in a fresh interpreter as
-``python -m dpkalman.cli <command> --config <config> --json`` with
-``PYTHONPATH=<side>/src``, from a temporary directory of its own; ``simulate``
-also writes ``--out`` and ``--summary`` files there. A case is identical when
-both sides give the same exit code, stdout bytes, stderr bytes (with the
-temporary directory written as ``<tmp>``) and output file bytes.
+Each side runs it twice, in a fresh interpreter each time, as
+``python -m dpkalman.cli <command> --config <config>``, once with ``--json``
+and once without, so both the JSON document and the human-readable printer
+are compared; it runs with ``PYTHONPATH=<side>/src``, from a temporary
+directory of its own; ``simulate`` also writes ``--out`` and ``--summary``
+files there. A case is identical when both sides give the same exit code,
+stdout bytes, stderr bytes (with the temporary directory written as
+``<tmp>``) and output file bytes in both runs; a difference in the run
+without ``--json`` is named with the suffix " without --json".
 
 Prints one line per case and exits 1 if any case differs. Neither checkout is
 edited.
@@ -29,18 +32,25 @@ FILES = ("out.csv", "summary.json")
 
 
 def run_case(root: Path, command: str, config: Path) -> dict:
-    """One command on one config with ``root``'s package: its exit code and bytes."""
-    with tempfile.TemporaryDirectory() as tmp:
-        argv = [sys.executable, "-m", "dpkalman.cli", command, "--config", str(config), "--json"]
-        if command == "simulate":
-            argv += ["--out", os.path.join(tmp, FILES[0]), "--summary", os.path.join(tmp, FILES[1])]
-        env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"))
-        proc = subprocess.run(argv, cwd=tmp, env=env, capture_output=True, timeout=600)
-        outputs = {"exit code": proc.returncode, "stdout": proc.stdout,
+    """One command on one config with ``root``'s package, with and without ``--json``.
+
+    Returns each run's exit code and bytes, those of the run without
+    ``--json`` under keys ending in " without --json".
+    """
+    outputs = {}
+    for flags, suffix in ((["--json"], ""), ([], " without --json")):
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [sys.executable, "-m", "dpkalman.cli", command, "--config", str(config), *flags]
+            if command == "simulate":
+                argv += ["--out", os.path.join(tmp, FILES[0]), "--summary", os.path.join(tmp, FILES[1])]
+            env = dict(os.environ, PYTHONPATH=str(root.resolve() / "src"))
+            proc = subprocess.run(argv, cwd=tmp, env=env, capture_output=True, timeout=600)
+            run = {"exit code": proc.returncode, "stdout": proc.stdout,
                    "stderr": proc.stderr.replace(tmp.encode(), b"<tmp>")}
-        for name in FILES:
-            path = Path(tmp, name)
-            outputs[name] = path.read_bytes() if path.exists() else None
+            for name in FILES:
+                path = Path(tmp, name)
+                run[name] = path.read_bytes() if path.exists() else None
+        outputs.update((key + suffix, value) for key, value in run.items())
     return outputs
 
 

@@ -20,7 +20,8 @@ import numpy as np
 
 from .bounds import _inputs, to_json
 from .errors import DegenerateSystemError, InvalidTargetError, OutOfDomainError
-from .linalg import SystemModel, _as_real, noise_covariance, solve_dare
+from .filtering import solve_filter
+from .linalg import SystemModel, _as_real, solve_dare  # noqa: F401 (bench/test_bench.py looks solve_dare up here)
 from .privacy import gaussian_sigma, sensitivity_bound
 
 APRIORI = "apriori"
@@ -177,8 +178,8 @@ def verify_calibration(system: SystemModel, target: CalibrationTarget,
         raise OutOfDomainError(f"epsilon must be positive and finite, got {epsilon}")
     sens = _sensitivity_for(system, target)
     sigma = gaussian_sigma(epsilon, target.delta, sens)
-    V = noise_covariance(np.full(system.q, sigma))
-    achieved = float(np.trace(getattr(solve_dare(system, V), _KINDS[target.kind][2])))
+    ric = solve_filter(system, np.full(system.q, sigma)).riccati
+    achieved = float(np.trace(getattr(ric, _KINDS[target.kind][2])))
     return CalibrationVerification(
         sigma=sigma,
         achieved_trace=achieved,

@@ -31,7 +31,7 @@ from .errors import (
     NotDiagonalError,
 )
 from .filtering import solve_filter
-from .linalg import noise_covariance, solve_dare
+from .linalg import solve_dare  # noqa: F401 (bench/test_bench.py looks it up here)
 from .network import compose, per_agent_slices
 from .privacy import noise_scales
 from .simulation import SimulationConfig, simulate, write_csv
@@ -124,7 +124,8 @@ def _emit(doc: dict, as_json: bool) -> None:
 
 def _need(section, name: str):
     if section is None:
-        raise ConfigError(f"this command requires a '{name}' section in the config")
+        article = "an" if name[0] in "aeiou" else "a"
+        raise ConfigError(f"this command requires {article} '{name}' section in the config")
     return section
 
 
@@ -175,7 +176,7 @@ def _riccati_summary(ric) -> dict:
 
 def _cmd_dare(args) -> int:
     system, sigma, compliant = _system_and_scales(args)
-    doc = {**_riccati_summary(solve_dare(system, noise_covariance(sigma))), "privacy_compliant": compliant}
+    doc = {**_riccati_summary(solve_filter(system, sigma).riccati), "privacy_compliant": compliant}
     _emit(doc, args.json)
     return EXIT_OK
 
@@ -209,9 +210,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_compose(args) -> int:
     config = load_config(args.config)
-    if config.agents is None:
-        raise ConfigError("this command requires an 'agents' section in the config")
-    network = compose(build_agents(config.agents))
+    network = compose(build_agents(_need(config.agents, "agents")))
     sol = solve_filter(network.system, network.sigma)
     slices = per_agent_slices(network, sol)
     doc = {

@@ -3,7 +3,8 @@
 A config carries up to four sections: ``system`` (or ``agents`` for a
 network), ``privacy``, ``simulation``, and ``calibration``. Matrices are
 objects with explicit ``rows``/``cols`` and row-major nested ``entries`` so
-shape errors surface at parse time. Unknown keys are rejected everywhere.
+shape errors surface at parse time. Unknown keys are rejected everywhere, and
+so is a key repeated within one object.
 """
 
 from __future__ import annotations
@@ -173,10 +174,21 @@ def _parse_agents(obj, context: str) -> tuple[AgentConfig, ...]:
     return tuple(agents)
 
 
+def _unique_keys(pairs: list) -> dict:
+    # json's object_pairs_hook: a key repeated within one object is an error,
+    # not a silent last-one-wins
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"invalid config: key {key!r} repeated in one object")
+        obj[key] = value
+    return obj
+
+
 def loads_config(text: str) -> Config:
     """Parse a config document from a JSON string."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}")
     except RecursionError:

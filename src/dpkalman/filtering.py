@@ -37,8 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError
-from .linalg import (RiccatiSolution, SystemModel, _as_instance, as_matrix, as_vector, noise_covariance,
-                     solve_dare)
+from .linalg import RiccatiSolution, SystemModel, _as_instance, _freeze, as_matrix, as_vector, solve_dare
 
 # Steps per window of run_filter's scan; a power of two, for _powers. Longer
 # windows mean fewer window ends but more in-window steps and a wider carry
@@ -111,20 +110,21 @@ class FilterSolution:
         C_t, H_t, K_t = (np.ascontiguousarray(m.T) for m in
                          (self.system.C, self.system.H, self.riccati.gain))
         A_t = np.eye(self.system.n) - C_t @ K_t
-        arrays = {"H_t": H_t, "K_t": K_t, "A_t": A_t, "F_t": A_t @ H_t, "G_t": K_t @ H_t}
-        for name, arr in arrays.items():
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, H_t=H_t, K_t=K_t, A_t=A_t, F_t=A_t @ H_t, G_t=K_t @ H_t)
 
 
 def solve_filter(system: SystemModel, sigma) -> FilterSolution:
     """Solve the steady state for per-channel noise scales ``sigma``.
 
-    Builds V by :func:`~dpkalman.linalg.noise_covariance`; singular V (any
-    zero scale) is rejected by the Riccati solver.
+    The one place that builds the privacy-noise covariance V = diag(sigma_i^2)
+    for the Riccati solver. A variance past float range makes V infinite,
+    with no overflow warning, and a zero scale makes V singular;
+    :func:`~dpkalman.linalg.solve_dare` rejects both.
     """
     sigma = as_vector(sigma, "sigma", length=system.q)
-    return FilterSolution(system=system, riccati=solve_dare(system, noise_covariance(sigma)))
+    with np.errstate(over="ignore"):
+        V = np.diag(np.square(sigma))
+    return FilterSolution(system=system, riccati=solve_dare(system, V))
 
 
 def _powers(F_t: np.ndarray, m: int) -> np.ndarray:

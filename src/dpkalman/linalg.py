@@ -32,34 +32,38 @@ DARE_CHANGE_TOL = 1e-12
 DARE_MAX_ITERATIONS = 100_000
 
 
-def _float_array(value, name: str) -> np.ndarray:
-    # strings, ragged nestings and ints beyond float range are not numbers
+def _finite_array(value, name: str, ndim: int, length: int | None = None) -> np.ndarray:
+    # a copy of value as a nonempty finite ndim-D float array, of length rows
+    # if given; strings, ragged nestings and ints beyond float range are not numbers
     try:
-        return np.array(value, dtype=float)
+        arr = np.array(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name} must be an array of numbers: {exc}") from None
-
-
-def as_matrix(value, name: str = "matrix") -> np.ndarray:
-    """Copy ``value`` into a finite 2-D float array."""
-    arr = _float_array(value, name)
-    if arr.ndim != 2 or arr.size == 0:
-        raise DimensionMismatchError(f"{name} must be a nonempty 2-D array, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    return arr
-
-
-def as_vector(value, name: str = "vector", length: int | None = None) -> np.ndarray:
-    """Copy ``value`` into a finite 1-D float array, optionally of fixed length."""
-    arr = _float_array(value, name)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DimensionMismatchError(f"{name} must be a nonempty 1-D array, got shape {arr.shape}")
+    if arr.ndim != ndim or arr.size == 0:
+        raise DimensionMismatchError(f"{name} must be a nonempty {ndim}-D array, got shape {arr.shape}")
     if length is not None and arr.shape[0] != length:
         raise DimensionMismatchError(f"{name} must have length {length}, got {arr.shape[0]}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains non-finite entries")
     return arr
+
+
+def as_matrix(value, name: str = "matrix") -> np.ndarray:
+    """Copy ``value`` into a finite 2-D float array."""
+    return _finite_array(value, name, 2)
+
+
+def as_vector(value, name: str = "vector", length: int | None = None) -> np.ndarray:
+    """Copy ``value`` into a finite 1-D float array, optionally of fixed length."""
+    return _finite_array(value, name, 1, length)
+
+
+def _freeze(obj, **arrays: np.ndarray) -> None:
+    # store each array on the frozen dataclass obj, read-only; callers pass
+    # arrays of their own, never one a caller of obj may still write
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(obj, name, arr)
 
 
 def _as_int(value, name: str) -> int:
@@ -121,16 +125,6 @@ def singular_values(A) -> np.ndarray:
     return np.linalg.svd(as_matrix(A, "A"), compute_uv=False)
 
 
-def _full_krylov_rank(A: np.ndarray, B: np.ndarray) -> bool:
-    # True iff [B, AB, ..., A^(n-1)B] has numerical rank n = A.shape[0].
-    n = A.shape[0]
-    blocks = [B]
-    for _ in range(n - 1):
-        blocks.append(A @ blocks[-1])
-    s = np.linalg.svd(np.hstack(blocks), compute_uv=False)
-    return int(np.count_nonzero(s > RANK_TOL * s[0])) == n
-
-
 def observability_check(H, C) -> bool:
     """True iff the stacked map [C; CH; ...; CH^(n-1)] has numerical rank n."""
     H = as_matrix(H, "H")
@@ -138,7 +132,12 @@ def observability_check(H, C) -> bool:
     n = H.shape[0]
     if H.shape != (n, n) or C.shape[1] != n:
         raise DimensionMismatchError(f"inconsistent shapes H {H.shape}, C {C.shape}")
-    return _full_krylov_rank(H.T, C.T)
+    # the map's transpose, the Krylov matrix [C^T, H^T C^T, ..., (H^T)^(n-1) C^T]
+    blocks = [C.T]
+    for _ in range(n - 1):
+        blocks.append(H.T @ blocks[-1])
+    s = np.linalg.svd(np.hstack(blocks), compute_uv=False)
+    return int(np.count_nonzero(s > RANK_TOL * s[0])) == n
 
 
 def symmetric_factor(W, name: str = "W") -> np.ndarray:
@@ -154,15 +153,11 @@ def symmetric_factor(W, name: str = "W") -> np.ndarray:
 def controllability_check(H, W) -> bool:
     """True iff [D, HD, ..., H^(n-1)D] has numerical rank n, where W = D D^T.
 
+    The same Krylov rank test as :func:`observability_check` of (H^T, D^T).
     ``solve_dare`` does not call it: ``SystemModel`` requires W positive
     definite, which makes every pair (H, D) controllable.
     """
-    H = as_matrix(H, "H")
-    D = symmetric_factor(W)
-    n = H.shape[0]
-    if H.shape != (n, n) or D.shape[0] != n:
-        raise DimensionMismatchError(f"inconsistent shapes H {H.shape}, W {D.shape}")
-    return _full_krylov_rank(H, D)
+    return observability_check(as_matrix(H, "H").T, symmetric_factor(W).T)
 
 
 def block_diag(blocks: list[np.ndarray]) -> np.ndarray:
@@ -206,10 +201,7 @@ class SystemModel:
         w = np.linalg.eigvalsh(W)
         if w[0] <= 0.0:
             raise ValidationError(f"W must be positive definite; smallest eigenvalue is {w[0]:.3e}")
-        x0 = as_vector(self.x0_hat, "x0_hat", length=n)
-        for name, arr in (("H", H), ("C", C), ("W", W), ("x0_hat", x0)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        _freeze(self, H=H, C=C, W=W, x0_hat=as_vector(self.x0_hat, "x0_hat", length=n))
 
     @property
     def n(self) -> int:
@@ -236,20 +228,8 @@ class RiccatiSolution:
     iterations: int
 
     def __post_init__(self):
-        for name in ("sigma", "sigma_bar", "gain"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def noise_covariance(sigma) -> np.ndarray:
-    """The privacy-noise covariance V = diag(sigma_i^2) of per-channel scales.
-
-    A variance past float range is infinite, with no overflow warning;
-    :func:`solve_dare` rejects such a V.
-    """
-    with np.errstate(over="ignore"):
-        return np.diag(np.square(sigma))
+        _freeze(self, **{name: np.array(getattr(self, name), dtype=float)
+                         for name in ("sigma", "sigma_bar", "gain")})
 
 
 def _require_invertible_spd(M: np.ndarray, name: str) -> None:

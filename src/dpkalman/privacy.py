@@ -18,7 +18,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .errors import NonPositiveSigmaError, OutOfDomainError, ValidationError
-from .linalg import _as_int, _as_real, as_matrix, as_vector, singular_values
+from .linalg import _as_int, _as_real, _freeze, as_matrix, as_vector, singular_values
 from .rng import STREAM_PRIVACY, gaussian_generator
 
 # Relative undershoot tolerated when a caller supplies noise scales rounded
@@ -154,8 +154,7 @@ class PrivacyConfig:
                 f"noise scale below the ({self.epsilon}, {self.delta}) minimum {floor:.6g}: "
                 f"got {vec.min():.6g}"
             )
-        vec.setflags(write=False)
-        object.__setattr__(self, "sigma", vec)
+        _freeze(self, sigma=vec)
 
     @classmethod
     def for_system(cls, system, epsilon: float, delta: float, adjacency_B: float,

@@ -40,7 +40,8 @@ import numpy as np
 from .bounds import aposteriori_trace_bounds, apriori_trace_bounds, to_json
 from .errors import ValidationError
 from .filtering import FilterSolution, solve_filter
-from .linalg import SystemModel, _as_int, _as_size, _in_float_range, as_matrix, require_symmetric, symmetric_factor
+from .linalg import (SystemModel, _as_int, _as_size, _freeze, _in_float_range, as_matrix, require_symmetric,
+                     symmetric_factor)
 from .network import NetworkModel
 from .privacy import PrivacyConfig
 from .rng import STREAM_INIT, STREAM_PRIVACY, STREAM_PROCESS, gaussian_generator
@@ -92,12 +93,11 @@ class SimulationConfig:
         factor = None
         if self.x0_cov is not None:
             cov = require_symmetric(as_matrix(self.x0_cov, "x0_cov"), "x0_cov")
-            n = self.system.system.n if isinstance(self.system, NetworkModel) else self.system.n
+            n = self.resolve()[0].n
             if cov.shape != (n, n):
                 raise ValidationError(f"x0_cov must be {n}x{n}, got shape {cov.shape}")
             factor = symmetric_factor(cov, "x0_cov")  # PSD; simulate draws the spread through it
-            cov.setflags(write=False)
-            object.__setattr__(self, "x0_cov", cov)
+            _freeze(self, x0_cov=cov)
         object.__setattr__(self, "_x0_factor", factor)
 
     def resolve(self) -> tuple[SystemModel, np.ndarray]:

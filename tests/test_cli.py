@@ -18,9 +18,11 @@ from hypothesis import example, given, settings, strategies as st
 import dpkalman
 import dpkalman.cli
 import dpkalman.linalg
+from dpkalman import CalibrationTarget, solve_dare, verify_calibration
 from dpkalman.cli import main
 from dpkalman.config import CalibrationSpec, PrivacySpec, SimulationSpec, load_config, loads_config
 from dpkalman.errors import ConfigError
+from dpkalman.privacy import noise_scales
 from helpers import extreme_magnitude
 
 LN3 = math.log(3.0)
@@ -824,6 +826,63 @@ class TestConfigRoundTrip:
         doc["agents"] = []
         with pytest.raises(Exception):
             loads_config(json.dumps(doc))
+
+
+class TestRepeatedKeys:
+    # strict JSON: a key repeated within one object is rejected, not read as
+    # its last value, at any depth
+    CASE_STUDY = json.dumps(case_study_doc())
+
+    @pytest.mark.parametrize("key,text", [
+        ("simulation", CASE_STUDY[:-1] + ', "simulation": {"horizon_T": 5, "trials": 2, "seed": 1}}'),
+        ("seed", CASE_STUDY.replace('"seed": 42', '"seed": 1, "seed": 7')),
+        ("rows", CASE_STUDY.replace('"rows": 2', '"rows": 2, "rows": 2', 1)),
+    ], ids=["section", "section-field", "matrix-field"])
+    def test_rejected_naming_the_key(self, key, text, tmp_path, capsys):
+        with pytest.raises(ConfigError, match=f"'{key}' repeated"):
+            loads_config(text)
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "simulate", "--config", str(path), "--json")
+        assert (code, out) == (1, "")
+        assert f"'{key}' repeated" in err
+
+
+def _steady_state_plant(name: str) -> dict:
+    # a system section: the case study, the slow scalar plant, or a seeded
+    # stable plant with dense H, C (2 x 4) and W
+    if name == "case_study":
+        return case_study_doc()["system"]
+    if name == "slow_scalar":
+        return {"H": matrix(1, 1, [[0.999]]), "C": matrix(1, 1, [[1.0]]), "W": matrix(1, 1, [[0.01]]),
+                "x0_hat": [0.0]}
+    rng = np.random.default_rng(4)
+    H = rng.normal(size=(4, 4))
+    body = rng.normal(size=(4, 4))
+    arrays = {"H": 0.9 * H / np.max(np.abs(np.linalg.eigvals(H))), "C": rng.normal(size=(2, 4)),
+              "W": body @ body.T / 4 + np.eye(4)}
+    return {**{key: matrix(*a.shape, a.tolist()) for key, a in arrays.items()}, "x0_hat": [0.0] * 4}
+
+
+class TestOneSteadyStatePath:
+    # verify_calibration and `dare` take the steady state at the noise
+    # scales from solve_filter: their traces equal those of solve_dare on
+    # V = diag(sigma^2) bit for bit
+    @pytest.mark.parametrize("plant", ["case_study", "slow_scalar", "dense"])
+    @pytest.mark.parametrize("epsilon", [1.0, 0.1])
+    def test_traces_equal_solve_dare(self, plant, epsilon, write_config, capsys):
+        doc = {"system": _steady_state_plant(plant),
+               "privacy": {"epsilon": epsilon, "delta": 1e-3, "adjacency_B": 1.0}}
+        system = loads_config(json.dumps(doc)).system
+        sigma, _ = noise_scales(system, epsilon, 1e-3, 1.0)
+        expected = np.trace(solve_dare(system, np.diag(sigma**2)).sigma)
+        target = CalibrationTarget(kind="apriori", B_l=1.0, B_u=2.0, delta=1e-3, adjacency_B=1.0)
+        report = verify_calibration(system, target, epsilon)
+        assert np.array_equal(np.full(system.q, report.sigma), sigma)
+        assert report.achieved_trace == expected
+        code, out, _ = run(capsys, "dare", "--config", write_config(doc), "--json")
+        assert code == 0
+        assert json.loads(out)["trace_prior"] == expected
 
 
 def config_documents():

@@ -17,13 +17,16 @@ from dpkalman.errors import (
     NotDetectableError,
     SingularMatrixError,
 )
+from dpkalman.filtering import FilterSolution
 from dpkalman.linalg import (
+    RiccatiSolution,
     block_diag,
     controllability_check,
     observability_check,
     singular_values,
     symmetric_factor,
 )
+from dpkalman.simulation import SimulationConfig
 from helpers import CASE_H, case_study_system, random_diagonal_system
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -380,3 +383,41 @@ class TestSystemModel:
         system = case_study_system()
         with pytest.raises(ValueError):
             system.H[0, 0] = 2.0
+
+
+def _frozen_models():
+    # per model type: a builder of (model, names of its stored arrays,
+    # the arrays its caller passed in), all fresh writable arrays
+    def system():
+        inputs = [CASE_H.copy(), np.eye(2), 10.0 * np.eye(2), np.zeros(2)]
+        return SystemModel(*inputs), ("H", "C", "W", "x0_hat"), inputs
+
+    def riccati():
+        inputs = [np.eye(2), np.eye(2), np.eye(2)]
+        return RiccatiSolution(*inputs, residual=0.0, iterations=0), ("sigma", "sigma_bar", "gain"), inputs
+
+    def filter_solution():
+        ric, _, inputs = riccati()
+        return FilterSolution(case_study_system(), ric), ("H_t", "K_t", "A_t", "F_t", "G_t"), inputs
+
+    def privacy():
+        inputs = [np.full(2, 100.0)]
+        return PrivacyConfig(1.0, 1e-3, 1.0, 1.0, *inputs), ("sigma",), inputs
+
+    def simulation():
+        inputs = [np.eye(2)]
+        config = SimulationConfig(case_study_system(), privacy()[0], horizon_T=5, trials=1, seed=0,
+                                  x0_cov=inputs[0])
+        return config, ("x0_cov",), inputs
+
+    return [pytest.param(build, id=build.__name__)
+            for build in (system, riccati, filter_solution, privacy, simulation)]
+
+
+@pytest.mark.parametrize("build", _frozen_models())
+def test_stored_arrays_are_read_only_copies(build):
+    model, stored, inputs = build()
+    for name in stored:
+        assert not getattr(model, name).flags.writeable, name
+    for arr in inputs:
+        assert arr.flags.writeable
