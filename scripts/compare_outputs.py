@@ -12,7 +12,9 @@ directory of its own; ``simulate`` also writes ``--out`` and ``--summary``
 files there. A case is identical when both sides give the same exit code,
 stdout bytes, stderr bytes (with the temporary directory written as
 ``<tmp>``) and output file bytes in both runs; a difference in the run
-without ``--json`` is named with the suffix " without --json".
+without ``--json`` is named with the suffix " without --json". Error exits
+compare the same way: on ``adjacency_zero.json`` every command exits 1, so
+the exit code and the ``error:`` line on stderr are what is compared.
 
 Prints one line per case and exits 1 if any case differs. Neither checkout is
 edited.

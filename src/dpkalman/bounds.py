@@ -9,6 +9,11 @@ squared error of prediction and estimation; log-determinant bounds cover the
 differential entropy of the corresponding error up to fixed
 additive/multiplicative terms.
 
+``all_bounds`` is the one place that builds the window and the four reports
+from it; each single-report function returns its kind of ``all_bounds``.
+Calibration inverts the trace bounds through the intermediates of
+``apriori_trace_bounds`` at unit noise scales.
+
 The upper log-determinant bound on the prediction covariance holds only under
 a spectral precondition on H; when that precondition fails, the report is
 marked inapplicable and carries the (always valid) lower bound alone.
@@ -106,26 +111,6 @@ def channel_extremes(C, sigma) -> ChannelExtremes:
     )
 
 
-def _inputs(system: SystemModel, sigma):
-    # What every report reads: the window ends s0 and s1 (module docstring),
-    # lambda_min(W), lambda_max(W), tr W, tr(H^T H) (infinite past float
-    # range, with no overflow warning), and the channel intermediates; it
-    # checks sigma through channel_extremes. The ratios r = C_ii / sigma_i are
-    # squared, not the scales, so no scale in float range overflows to a NaN:
-    # s0 = lambda_min(W) / (1 + lambda_min(W) r_u^2), and s1 = 1 / r_l^2 is
-    # infinite when the weakest channel is silent.
-    ext = channel_extremes(system.C, sigma)
-    w = np.linalg.eigvalsh(system.W)
-    lam_min_w = float(w[0])
-    r_u = ext.c_u / ext.sigma_u
-    s0 = lam_min_w / (1.0 + lam_min_w * (r_u * r_u))
-    s1 = math.inf if ext.c_l == 0.0 else (ext.sigma_l / ext.c_l) * (ext.sigma_l / ext.c_l)
-    with np.errstate(over="ignore"):
-        tr_hth = float(np.sum(system.H * system.H))
-    channels = {"c_l": ext.c_l, "c_u": ext.c_u, "sigma_l": ext.sigma_l, "sigma_u": ext.sigma_u}
-    return s0, s1, lam_min_w, float(w[-1]), float(np.trace(system.W)), tr_hth, channels
-
-
 def _log(x: float) -> float:
     # log of a window end, -inf where it underflowed to 0
     return math.log(x) if x > 0.0 else -math.inf
@@ -134,20 +119,13 @@ def _log(x: float) -> float:
 def apriori_trace_bounds(system: SystemModel, sigma) -> BoundReport:
     """Bounds on the steady-state mean squared prediction error (tr of the
     prediction covariance): tr W + tr(H^T H) s0 and tr W + tr(H^T H) s1."""
-    s0, s1, lam_min_w, _, tr_w, tr_hth, channels = _inputs(system, sigma)
-    # infinite, not NaN, when tr(H^T H) = 0 meets s1 = inf
-    upper = math.inf if s1 == math.inf else tr_w + tr_hth * s1
-    return BoundReport(APRIORI_TRACE, tr_w + tr_hth * s0, upper, True,
-                       {"tr_w": tr_w, "tr_hth": tr_hth, "lambda_min_w": lam_min_w, **channels})
+    return all_bounds(system, sigma)[APRIORI_TRACE]
 
 
 def aposteriori_trace_bounds(system: SystemModel, sigma) -> BoundReport:
     """Bounds on the steady-state mean squared estimation error (tr of the
     estimation covariance): n s0 and n s1."""
-    s0, s1, lam_min_w, _, _, _, channels = _inputs(system, sigma)
-    n = system.n
-    return BoundReport(APOSTERIORI_TRACE, n * s0, n * s1, True,
-                       {"n": float(n), "lambda_min_w": lam_min_w, **channels})
+    return all_bounds(system, sigma)[APOSTERIORI_TRACE]
 
 
 def apriori_logdet_bounds(system: SystemModel, sigma) -> BoundReport:
@@ -159,14 +137,38 @@ def apriori_logdet_bounds(system: SystemModel, sigma) -> BoundReport:
     The ``det_h`` and ``det_w`` intermediates are taken from the
     log-determinants.
     """
-    s0, s1, lam_min_w, lam_max_w, tr_w, tr_hth, channels = _inputs(system, sigma)
-    n = system.n
+    return all_bounds(system, sigma)[APRIORI_LOGDET]
+
+
+def aposteriori_logdet_bounds(system: SystemModel, sigma) -> BoundReport:
+    """Bounds on the log-determinant of the estimation error covariance:
+    n log s0 and n log s1."""
+    return all_bounds(system, sigma)[APOSTERIORI_LOGDET]
+
+
+def all_bounds(system: SystemModel, sigma) -> dict[str, BoundReport]:
+    """All four reports keyed by kind, from one window s0 I <= Sigma_bar <= s1 I."""
+    # sigma is checked by channel_extremes. The ratios r = C_ii / sigma_i are
+    # squared, not the scales, so no scale in float range overflows to a NaN:
+    # s0 = lambda_min(W) / (1 + lambda_min(W) r_u^2), and s1 = 1 / r_l^2 is
+    # infinite when the weakest channel is silent.
+    ext = channel_extremes(system.C, sigma)
+    w = np.linalg.eigvalsh(system.W)
+    lam_min_w, lam_max_w = float(w[0]), float(w[-1])
+    r_u = ext.c_u / ext.sigma_u
+    s0 = lam_min_w / (1.0 + lam_min_w * (r_u * r_u))
+    s1 = math.inf if ext.c_l == 0.0 else (ext.sigma_l / ext.c_l) * (ext.sigma_l / ext.c_l)
+    n, tr_w = system.n, float(np.trace(system.W))
+    channels = {"c_l": ext.c_l, "c_u": ext.c_u, "sigma_l": ext.sigma_l, "sigma_u": ext.sigma_u}
     w_diag = np.diag(system.W)
     s = np.linalg.svd(system.H, compute_uv=False)
     sign_h, logdet_h = np.linalg.slogdet(system.H)
     logdet_w = np.linalg.slogdet(system.W)[1]
-    with np.errstate(over="ignore"):  # past float range a ratio is inf, a det null
-        ratios = np.diag(system.C) / np.asarray(sigma, dtype=float)  # sigma checked by _inputs
+    # past float range tr(H^T H) and a ratio are inf and a det null, with no
+    # overflow warning
+    with np.errstate(over="ignore"):
+        tr_hth = float(np.sum(system.H * system.H))
+        ratios = np.diag(system.C) / np.asarray(sigma, dtype=float)
         gammas = w_diag / (1.0 + w_diag * (ratios * ratios))
         det_h, det_w = float(sign_h * np.exp(logdet_h)), float(np.exp(logdet_w))
         eta = float(s[-1] ** 2 * gammas.max() + lam_min_w)
@@ -176,34 +178,22 @@ def apriori_logdet_bounds(system: SystemModel, sigma) -> BoundReport:
     # the estimation covariance dominates s0 * I, so with det(A + B) >=
     # det A + det B for A, B >= 0: det(H Sigma_bar H^T + W) >= det(H)^2 s0^n + det W,
     # summed in log space so that neither term under- or overflows at large n
-    lower = float(np.logaddexp(2.0 * logdet_h + n * _log(s0), logdet_w))
-    upper = lam_max_w / (rhs - lhs) * tr_hth + tr_w if applicable else None
-    intermediates = {
+    logdet_lower = float(np.logaddexp(2.0 * logdet_h + n * _log(s0), logdet_w))
+    logdet_upper = lam_max_w / (rhs - lhs) * tr_hth + tr_w if applicable else None
+    logdet = {
         "eta": eta, "lambda_min_w": lam_min_w, "lambda_max_w": lam_max_w,
         "tr_w": tr_w, "tr_hth": tr_hth, "det_h": det_h, "det_w": det_w,
         "precondition_lhs": lhs, "precondition_rhs": rhs, **channels,
     }
-    for i, g in enumerate(gammas):
-        intermediates[f"gamma_{i + 1}"] = float(g)
-    for i, si in enumerate(s):
-        intermediates[f"s_{i + 1}"] = float(si)
-    return BoundReport(APRIORI_LOGDET, lower, upper, applicable, intermediates)
-
-
-def aposteriori_logdet_bounds(system: SystemModel, sigma) -> BoundReport:
-    """Bounds on the log-determinant of the estimation error covariance:
-    n log s0 and n log s1."""
-    s0, s1, lam_min_w, _, _, _, channels = _inputs(system, sigma)
-    n = system.n
-    return BoundReport(APOSTERIORI_LOGDET, n * _log(s0), n * _log(s1), True,
-                       {"n": float(n), "lambda_min_w": lam_min_w, **channels})
-
-
-def all_bounds(system: SystemModel, sigma) -> dict[str, BoundReport]:
-    """All four reports keyed by kind."""
+    logdet.update((f"gamma_{i + 1}", float(g)) for i, g in enumerate(gammas))
+    logdet.update((f"s_{i + 1}", float(si)) for i, si in enumerate(s))
+    per_dim = {"n": float(n), "lambda_min_w": lam_min_w, **channels}
     return {
-        APRIORI_TRACE: apriori_trace_bounds(system, sigma),
-        APOSTERIORI_TRACE: aposteriori_trace_bounds(system, sigma),
-        APRIORI_LOGDET: apriori_logdet_bounds(system, sigma),
-        APOSTERIORI_LOGDET: aposteriori_logdet_bounds(system, sigma),
+        # the trace upper bound is infinite, not NaN, when tr(H^T H) = 0 meets s1 = inf
+        APRIORI_TRACE: BoundReport(
+            APRIORI_TRACE, tr_w + tr_hth * s0, math.inf if s1 == math.inf else tr_w + tr_hth * s1,
+            True, {"tr_w": tr_w, "tr_hth": tr_hth, "lambda_min_w": lam_min_w, **channels}),
+        APOSTERIORI_TRACE: BoundReport(APOSTERIORI_TRACE, n * s0, n * s1, True, dict(per_dim)),
+        APRIORI_LOGDET: BoundReport(APRIORI_LOGDET, logdet_lower, logdet_upper, applicable, logdet),
+        APOSTERIORI_LOGDET: BoundReport(APOSTERIORI_LOGDET, n * _log(s0), n * _log(s1), True, per_dim),
     }

@@ -18,11 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import _inputs, to_json
+from .bounds import apriori_trace_bounds, to_json
 from .errors import DegenerateSystemError, InvalidTargetError, OutOfDomainError
 from .filtering import solve_filter
 from .linalg import SystemModel, _as_real, solve_dare  # noqa: F401 (bench/test_bench.py looks solve_dare up here)
-from .privacy import gaussian_sigma, sensitivity_bound
+from .privacy import _radius, gaussian_sigma, sensitivity_bound
 
 APRIORI = "apriori"
 APOSTERIORI = "aposteriori"
@@ -58,8 +58,7 @@ class CalibrationTarget:
             raise InvalidTargetError(
                 f"delta must lie in [{DELTA_MIN}, {DELTA_MAX}] for calibration, got {self.delta}"
             )
-        if not (math.isfinite(self.adjacency_B) and self.adjacency_B > 0.0):
-            raise InvalidTargetError(f"adjacency_B must be positive, got {self.adjacency_B}")
+        _radius(self.adjacency_B)
 
 
 @dataclass(frozen=True)
@@ -120,7 +119,8 @@ def _calibrate(system: SystemModel, target: CalibrationTarget, kind: str) -> Eps
     if target.kind != kind:
         raise InvalidTargetError(f"target kind is {target.kind!r}, expected '{kind}'")
     sens = _sensitivity_for(system, target)
-    _, _, lam_min_w, _, tr_w, tr_hth, channels = _inputs(system, np.ones(system.n))
+    window = apriori_trace_bounds(system, np.ones(system.q)).intermediates
+    lam_min_w, tr_w, tr_hth = window["lambda_min_w"], window["tr_w"], window["tr_hth"]
     if kind == APRIORI:
         offset, scale = tr_w, tr_hth
         if scale == 0.0:
@@ -135,8 +135,8 @@ def _calibrate(system: SystemModel, target: CalibrationTarget, kind: str) -> Eps
         raise InvalidTargetError(
             f"B_l = {target.B_l} must stay below {reach} = {offset + scale * lam_min_w}"
         )
-    cu2 = channels["c_u"] * channels["c_u"]
-    cl2 = channels["c_l"] * channels["c_l"]
+    cu2 = window["c_u"] * window["c_u"]
+    cl2 = window["c_l"] * window["c_l"]
     # eta_lo drives eps_max (lower target bound), eta_hi drives eps_min
     eta_lo = math.sqrt(b_l * lam_min_w * cu2 / (lam_min_w - b_l)) / sens
     eta_hi = math.sqrt(b_u * cl2) / sens

@@ -90,10 +90,15 @@ def noise_scales(system, epsilon: float, delta: float, adjacency_B: float,
 
 
 def _scales(system, minimal: float, sigma) -> np.ndarray:
-    # the scale vector of noise_scales, given its minimal scale
+    # the scale vector of noise_scales, given its minimal scale; a ragged
+    # nesting has no ndim, and _nonnegative rejects it as not an array of numbers
     if sigma is None:
         sigma = minimal
-    return _nonnegative(np.full(system.q, sigma) if np.ndim(sigma) == 0 else sigma, system.q)
+    try:
+        scalar = np.ndim(sigma) == 0
+    except ValueError:
+        scalar = False
+    return _nonnegative(np.full(system.q, sigma) if scalar else sigma, system.q)
 
 
 def _nonnegative(sigma, length: int | None = None) -> np.ndarray:
@@ -112,22 +117,15 @@ def privatize(y, sigma, rng_seed: int, *, stream_index: int = 0) -> np.ndarray:
     callers privatizing several trajectories under one seed should pass
     distinct stream indices.
     """
-    try:
-        y = np.asarray(y, dtype=float)  # read only: the noise is added into a new array
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"trajectory must be an array of numbers: {exc}") from None
-    if y.ndim != 2 or y.size == 0:
-        raise ValidationError(f"trajectory must be a nonempty (T, q) array, got shape {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise ValidationError("trajectory contains non-finite entries")
+    y = as_matrix(y, "trajectory")  # a copy: the noise is added into it
     sigma = _nonnegative(sigma, y.shape[1])
     _as_int(rng_seed, "rng_seed")
     if _as_int(stream_index, "stream_index") < 0:
         raise OutOfDomainError(f"stream_index must be nonnegative, got {stream_index}")
     noise = gaussian_generator(rng_seed, trial=stream_index, stream=STREAM_PRIVACY).standard_normal(y.shape)
     noise *= sigma
-    noise += y
-    return noise
+    y += noise
+    return y
 
 
 @dataclass(frozen=True, eq=False)

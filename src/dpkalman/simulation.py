@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import aposteriori_trace_bounds, apriori_trace_bounds, to_json
+from .bounds import APOSTERIORI_TRACE, APRIORI_TRACE, all_bounds, to_json
 from .errors import ValidationError
 from .filtering import FilterSolution, solve_filter
 from .linalg import (SystemModel, _as_int, _as_size, _freeze, _in_float_range, as_matrix, require_symmetric,
@@ -246,8 +246,8 @@ def simulate(config: SimulationConfig, *, threads: int = 1, paths: bool = True) 
     except (ValueError, MemoryError) as exc:  # a size numpy cannot address, or too large to hold
         raise ValidationError(f"trials={trials} x horizon_T={T} cannot be allocated: {exc}") from None
     sol = solve_filter(system, sigma)
-    prior_rep = apriori_trace_bounds(system, sigma)
-    post_rep = aposteriori_trace_bounds(system, sigma)
+    reports = all_bounds(system, sigma)
+    prior_rep, post_rep = reports[APRIORI_TRACE], reports[APOSTERIORI_TRACE]
 
     burn = min(BURN_IN, T - 1)
     args = (sol, sigma, config.seed, T, burn, config._x0_factor, out, means)

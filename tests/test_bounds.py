@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import solve_discrete_are
 
+import dpkalman.bounds
 from dpkalman import (
     APOSTERIORI_LOGDET,
     APOSTERIORI_TRACE,
@@ -208,6 +209,18 @@ class TestReportShape:
     def test_all_intermediates_finite(self):
         rep = apriori_logdet_bounds(case_study_system(), np.ones(2))
         assert all(math.isfinite(v) for v in rep.intermediates.values())
+
+    def test_one_window_per_call(self, monkeypatch):
+        # all four reports come from one channel_extremes and one eigvalsh(W)
+        system = case_study_system()
+        calls = []
+        extremes, eigvalsh = dpkalman.bounds.channel_extremes, np.linalg.eigvalsh
+        monkeypatch.setattr(dpkalman.bounds, "channel_extremes",
+                            lambda *a: calls.append("channel_extremes") or extremes(*a))
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append("eigvalsh") or eigvalsh(*a))
+        reports = all_bounds(system, np.full(2, SIGMA_CASE))
+        assert sorted(calls) == ["channel_extremes", "eigvalsh"]
+        assert list(reports) == [APRIORI_TRACE, APOSTERIORI_TRACE, APRIORI_LOGDET, APOSTERIORI_LOGDET]
 
 
 class TestJsonRule:

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dpkalman.linalg
-from dpkalman import CalibrationTarget, calibrate_aposteriori, calibrate_apriori, verify_calibration
+from dpkalman import CalibrationTarget, SystemModel, calibrate_aposteriori, calibrate_apriori, verify_calibration
 from dpkalman.calibration import APOSTERIORI, APRIORI, CALIBRATORS
-from dpkalman.errors import DPKalmanError, InvalidTargetError
+from dpkalman.errors import DPKalmanError, InvalidTargetError, OutOfDomainError
 from helpers import any_scalar, case_study_system, extreme_magnitude, random_feasible_pair
 
 
@@ -30,8 +30,18 @@ class TestTargetValidation:
 
     @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_adjacency_radius_checked(self, radius):
-        with pytest.raises(InvalidTargetError, match="adjacency_B"):
+        with pytest.raises(OutOfDomainError, match="adjacency_B must be positive"):
             target(APRIORI, 21.0, 2000.0, adjacency_B=radius)
+
+    @pytest.mark.parametrize("kind,B_l,B_u", [(APRIORI, 50.0, 50.0), (APOSTERIORI, 0.0, 100.0)])
+    def test_boundary_target_rejected(self, kind, B_l, B_u):
+        # an empty interval, and an estimation floor of exactly 0
+        with pytest.raises(InvalidTargetError, match="B_l"):
+            target(kind, B_l, B_u)
+
+    @pytest.mark.parametrize("delta", [1e-5, 1e-1])
+    def test_delta_window_is_closed(self, delta):
+        assert target(APRIORI, 21.0, 2000.0, delta=delta).delta == delta
 
     def test_kind_checked(self):
         with pytest.raises(InvalidTargetError):
@@ -41,6 +51,17 @@ class TestTargetValidation:
         t = target(APRIORI, 21.0, 2000.0)
         with pytest.raises(InvalidTargetError):
             calibrate_aposteriori(case_study_system(), t)
+
+    @pytest.mark.parametrize("op", [
+        lambda system: calibrate_apriori(system, target(APRIORI, 21.0, 2000.0)),
+        lambda system: calibrate_aposteriori(system, target(APOSTERIORI, 1.0, 2000.0)),
+        lambda system: verify_calibration(system, target(APRIORI, 21.0, 2000.0), 1.0),
+    ], ids=["calibrate_apriori", "calibrate_aposteriori", "verify_calibration"])
+    def test_zero_sensitivity_rejected_by_ops(self, op):
+        # C = 0: no noise level can be calibrated, and nothing divides by zero
+        system = SystemModel(H=case_study_system().H, C=np.zeros((2, 2)), W=10.0 * np.eye(2), x0_hat=np.zeros(2))
+        with pytest.raises(InvalidTargetError, match="sensitivity is zero"):
+            op(system)
 
 
 class TestPredictionCalibration:
@@ -66,6 +87,11 @@ class TestPredictionCalibration:
     def test_floor_below_process_noise_rejected(self):
         with pytest.raises(InvalidTargetError):
             calibrate_apriori(case_study_system(), target(APRIORI, 19.0, 2000.0))
+
+    def test_floor_at_process_noise_rejected(self):
+        # tr W = 20 for the case study: the per-dimension floor would be 0
+        with pytest.raises(InvalidTargetError, match="must exceed tr W"):
+            calibrate_apriori(case_study_system(), target(APRIORI, 20.0, 2000.0))
 
     def test_floor_above_reachable_window_rejected(self):
         # tr W + tr(H^T H) * lambda_min(W) = 50 for the case study
@@ -106,6 +132,15 @@ class TestVerification:
         t = target(APOSTERIORI, 1.8, 100.0)
         report = verify_calibration(case_study_system(), t, 0.9)
         assert report.within_bounds
+
+    @pytest.mark.parametrize("kind,epsilon", [(APRIORI, 1.0), (APOSTERIORI, 0.9)])
+    def test_achieved_trace_at_either_end_is_within(self, kind, epsilon):
+        system = case_study_system()
+        achieved = verify_calibration(system, target(kind, 1.0, 2000.0), epsilon).achieved_trace
+        for B_l, B_u in ((achieved, achieved + 1.0), (achieved - 1.0, achieved)):
+            report = verify_calibration(system, target(kind, B_l, B_u), epsilon)
+            assert report.achieved_trace == achieved
+            assert report.within_bounds
 
     def test_serializes(self):
         t = target(APOSTERIORI, 1.8, 100.0)

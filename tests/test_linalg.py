@@ -364,6 +364,11 @@ class TestSystemModel:
         with pytest.raises(ValidationError):
             SystemModel(H=np.eye(2), C=np.eye(2), W=np.diag([1.0, -1.0]), x0_hat=np.zeros(2))
 
+    def test_rejects_semidefinite_w(self):
+        # an exact zero eigenvalue: W must be positive definite
+        with pytest.raises(ValidationError, match="positive definite"):
+            SystemModel(H=np.eye(2), C=np.eye(2), W=np.diag([1.0, 0.0]), x0_hat=np.zeros(2))
+
     def test_rejects_asymmetric_w(self):
         with pytest.raises(NonSymmetricError):
             SystemModel(H=np.eye(2), C=np.eye(2), W=np.array([[1.0, 0.5], [0.0, 1.0]]), x0_hat=np.zeros(2))

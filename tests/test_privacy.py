@@ -278,6 +278,12 @@ class TestNoiseScales:
         assert self.scales([2.96, 5.0])[1] is True
         assert self.scales([5.0, 2.9])[1] is False
 
+    @pytest.mark.parametrize("sigma", [[0.0, [0.001]], ([1.0], 2.0)])
+    def test_ragged_scales_rejected(self, sigma):
+        # a ragged nesting has no ndim; it is an error of the library, not of numpy
+        with pytest.raises(ValidationError, match="sigma must be an array of numbers"):
+            self.scales(sigma)
+
     def test_zero_accepted_but_not_compliant(self):
         # a zero scale reaches the Riccati solver, which reports V singular
         vec, compliant = self.scales(0.0)
