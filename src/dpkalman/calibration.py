@@ -114,8 +114,9 @@ def _calibrate(system: SystemModel, target: CalibrationTarget, kind: str) -> Eps
     # Both trace bounds read offset + scale * s with s0 <= s <= s1, so each
     # target maps to per-dimension targets b = (B - offset) / scale and
     # inverts through the same etas; a target is admissible iff
-    # 0 < b_l < lambda_min(W). The sensitivity divides after the square
-    # root, so no radius in float range overflows.
+    # 0 < b_l < lambda_min(W). Each output-map entry is divided by the
+    # sensitivity, which scales with it, before it multiplies anything, so no
+    # output map or radius in float range overflows or underflows here.
     if target.kind != kind:
         raise InvalidTargetError(f"target kind is {target.kind!r}, expected '{kind}'")
     sens = _sensitivity_for(system, target)
@@ -135,11 +136,9 @@ def _calibrate(system: SystemModel, target: CalibrationTarget, kind: str) -> Eps
         raise InvalidTargetError(
             f"B_l = {target.B_l} must stay below {reach} = {offset + scale * lam_min_w}"
         )
-    cu2 = window["c_u"] * window["c_u"]
-    cl2 = window["c_l"] * window["c_l"]
     # eta_lo drives eps_max (lower target bound), eta_hi drives eps_min
-    eta_lo = math.sqrt(b_l * lam_min_w * cu2 / (lam_min_w - b_l)) / sens
-    eta_hi = math.sqrt(b_u * cl2) / sens
+    eta_lo = math.sqrt(b_l * lam_min_w / (lam_min_w - b_l)) * (abs(window["c_u"]) / sens)
+    eta_hi = math.sqrt(b_u) * (abs(window["c_l"]) / sens)
     eps_min = _epsilon_floor(eta_hi)
     eps_max = math.inf if eta_lo == 0.0 else 1.0 / eta_lo
     # the noise at each end; gaussian_sigma gives 0 at an infinite epsilon,

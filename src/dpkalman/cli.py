@@ -129,8 +129,7 @@ def _need(section, name: str):
     return section
 
 
-def _cmd_calibrate(args) -> int:
-    config = load_config(args.config)
+def _cmd_calibrate(args, config) -> int:
     system = _need(config.system, "system")
     privacy = _need(config.privacy, "privacy")
     cal = _need(config.calibration, "calibration")
@@ -148,17 +147,16 @@ def _cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _system_and_scales(args):
+def _system_and_scales(config):
     # the configured system, its noise scales, and whether they are compliant
-    config = load_config(args.config)
     system = _need(config.system, "system")
     privacy = _need(config.privacy, "privacy")
     return (system, *noise_scales(system, privacy.epsilon, privacy.delta,
                                   privacy.adjacency_B, privacy.sigma))
 
 
-def _cmd_bounds(args) -> int:
-    system, sigma, compliant = _system_and_scales(args)
+def _cmd_bounds(args, config) -> int:
+    system, sigma, compliant = _system_and_scales(config)
     _emit({**all_bounds(system, sigma), "sigma": sigma, "privacy_compliant": compliant}, args.json)
     return EXIT_OK
 
@@ -174,15 +172,14 @@ def _riccati_summary(ric) -> dict:
     }
 
 
-def _cmd_dare(args) -> int:
-    system, sigma, compliant = _system_and_scales(args)
+def _cmd_dare(args, config) -> int:
+    system, sigma, compliant = _system_and_scales(config)
     doc = {**_riccati_summary(solve_filter(system, sigma).riccati), "privacy_compliant": compliant}
     _emit(doc, args.json)
     return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    config = load_config(args.config)
+def _cmd_simulate(args, config) -> int:
     sim = _need(config.simulation, "simulation")
     if config.agents is not None:
         system, privacy = compose(build_agents(config.agents)), None
@@ -208,8 +205,7 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_compose(args) -> int:
-    config = load_config(args.config)
+def _cmd_compose(args, config) -> int:
     network = compose(build_agents(_need(config.agents, "agents")))
     sol = solve_filter(network.system, network.sigma)
     slices = per_agent_slices(network, sol)
@@ -243,7 +239,7 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, load_config(args.config))
     except DPKalmanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

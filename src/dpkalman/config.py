@@ -10,7 +10,7 @@ so is a key repeated within one object.
 from __future__ import annotations
 
 import json
-import sys
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +80,7 @@ def _check_keys(mapping: dict, required: set[str], optional: set[str], context: 
 
 def _number(value, context: str) -> float:
     number = _as_real(value, context)
-    if not abs(value) <= sys.float_info.max:  # NaN, +-Infinity, or an int past the largest float
+    if not math.isfinite(number):  # NaN or +-Infinity; _as_real rejects an int past float range
         raise ConfigError(f"{context} must be finite, got {value!r}")
     return number
 
@@ -231,8 +231,6 @@ def build_agents(configs: tuple[AgentConfig, ...]) -> list[AgentSpec]:
     for cfg in configs:
         try:
             agents.append(AgentSpec(id=cfg.id, system=cfg.system, privacy=build_privacy(cfg.system, cfg.privacy)))
-        except ConfigError:
-            raise
         except Exception as exc:
             raise ConfigError(f"agent {cfg.id!r}: {exc}")
     return agents

@@ -166,19 +166,18 @@ def run_filter(sol: FilterSolution, y_tilde, x0_hat) -> FilterTrajectory:
     powers = _powers(sol.F_t, L)
     # level 1: the window's own recursion, one step for all windows at once,
     # makes each row the sum of its own window's terms so far
-    for i in range(1, min(L, T)):
+    for i in range(1, L):
         windows[:, i] += windows[:, i - 1] @ sol.F_t
-    if nw > 1:
-        # level 2: a doubling over the window ends with F_t^L makes
-        # each end the full prior; then one product carries end w - 1 into
-        # every row i of window w through F_t^(i+1), the end rows included,
-        # so the doubling works on a copy of them
-        ends = windows[:-1, L - 1].copy()
-        power, d = powers[:, -n:], 1
-        while d < nw - 1:
-            ends[d:] += ends[:-d] @ power
-            power, d = power @ power, 2 * d
-        windows[1:] += (ends @ powers).reshape(nw - 1, L, n)
+    # level 2: a doubling over the window ends with F_t^L makes each end the
+    # full prior; then one product carries end w - 1 into every row i of
+    # window w through F_t^(i+1), the end rows included, so the doubling
+    # works on a copy of them (with one window there are no ends to carry)
+    ends = windows[:-1, L - 1].copy()
+    power, d = powers[:, -n:], 1
+    while d < nw - 1:
+        ends[d:] += ends[:-d] @ power
+        power, d = power @ power, 2 * d
+    windows[1:] += (ends @ powers).reshape(nw - 1, L, n)
     priors = buf[:T]
     est = priors @ sol.A_t
     est += y_tilde @ sol.K_t

@@ -306,14 +306,14 @@ def solve_dare(system: SystemModel, V) -> RiccatiSolution:
     # square passes float range is inf, and an iterate past it ends the loop
     # at its non-finite residual, neither with an overflow warning
     with np.errstate(over="ignore"):
-        sigma_norm = max(_frobenius(sigma), tiny)
-        change = np.inf  # the start has no predecessor
+        last_step = np.inf  # the start has no predecessor
         # pass k maps sigma_k once: |nxt - sigma_k| over |sigma_k| is sigma_k's
-        # residual, and over |nxt| it is the change of sigma_(k+1)
+        # residual, and the previous pass's step over |sigma_k| its change
         for iterations in range(DARE_MAX_ITERATIONS + 1):
+            sigma_norm = max(_frobenius(sigma), tiny)
             inner, nxt, step = _riccati_pass(sigma, info, H, Ht, W)
             residual = step / sigma_norm
-            if change < DARE_CHANGE_TOL and residual <= DARE_RESIDUAL_TOL:
+            if last_step / sigma_norm < DARE_CHANGE_TOL and residual <= DARE_RESIDUAL_TOL:
                 d = 1.0 / np.sqrt(np.diag(sigma))  # D X D = (X * d) * d[:, None], no factor overflowing
                 scaled = _frobenius((nxt - sigma) * d * d[:, None]) / _frobenius(sigma * d * d[:, None])
                 if scaled <= DARE_RESIDUAL_TOL:
@@ -321,9 +321,7 @@ def solve_dare(system: SystemModel, V) -> RiccatiSolution:
             if not math.isfinite(residual):  # NaN, or past float range for good: the iterates grow
                 raise NoConvergenceError(f"Riccati iteration diverged after {iterations} iterations "
                                          f"(residual {residual:.3e})")
-            sigma_norm = max(_frobenius(nxt), tiny)
-            change = step / sigma_norm
-            sigma = nxt
+            last_step, sigma = step, nxt
         else:
             raise NoConvergenceError(
                 f"Riccati iteration did not converge within {DARE_MAX_ITERATIONS} iterations "

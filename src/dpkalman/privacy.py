@@ -59,8 +59,6 @@ def gaussian_sigma(epsilon: float, delta: float, sensitivity: float) -> float:
         raise OutOfDomainError(f"delta must lie in (0, 0.5), got {delta}")
     if not sensitivity >= 0.0:
         raise OutOfDomainError(f"sensitivity must be nonnegative, got {sensitivity}")
-    if sensitivity == 0.0:
-        return 0.0
     if math.isinf(epsilon):
         return 0.0
     k = q_inverse(delta)

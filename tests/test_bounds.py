@@ -22,7 +22,7 @@ from dpkalman import (
     apriori_trace_bounds,
     solve_dare,
 )
-from dpkalman.bounds import channel_extremes, to_json
+from dpkalman.bounds import DIAGONALITY_RTOL, channel_extremes, to_json
 from dpkalman.errors import NonPositiveSigmaError, NotDiagonalError
 from helpers import case_study_system, extreme_magnitude, random_diagonal_system
 
@@ -72,6 +72,18 @@ class TestChannelExtremes:
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(NonPositiveSigmaError):
             channel_extremes(np.eye(2), np.array([1.0, 0.0]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(NotDiagonalError, match="must be square and diagonal"):
+            channel_extremes(np.ones((1, 2)), np.ones(1))
+
+    def test_off_diagonal_at_the_tolerance_rejected(self):
+        # off-diagonal entries count from DIAGONALITY_RTOL * max |C_ii| up;
+        # one step below it they are rounding noise
+        with pytest.raises(NotDiagonalError, match="must be diagonal"):
+            channel_extremes(np.array([[1.0, DIAGONALITY_RTOL], [0.0, 1.0]]), np.ones(2))
+        below = math.nextafter(DIAGONALITY_RTOL, 0.0)
+        assert channel_extremes(np.array([[1.0, below], [0.0, 2.0]]), np.ones(2)).u == 1
 
 
 class TestAprioriTrace:

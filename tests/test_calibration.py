@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 import dpkalman.linalg
 from dpkalman import CalibrationTarget, SystemModel, calibrate_aposteriori, calibrate_apriori, verify_calibration
 from dpkalman.calibration import APOSTERIORI, APRIORI, CALIBRATORS
-from dpkalman.errors import DPKalmanError, InvalidTargetError, OutOfDomainError
+from dpkalman.errors import DegenerateSystemError, DPKalmanError, InvalidTargetError, OutOfDomainError
 from helpers import any_scalar, case_study_system, extreme_magnitude, random_feasible_pair
 
 
@@ -256,3 +256,47 @@ class TestIntervalAlgebra:
         assert overlap_lo <= overlap_hi
         for eps in np.linspace(overlap_lo, overlap_hi, 5):
             assert verify_calibration(system, lo, float(eps)).within_bounds
+
+
+def scalar_system(h=0.5, c=1.0, w=1.0):
+    return SystemModel(H=[[h]], C=[[c]], W=[[w]], x0_hat=[0.0])
+
+
+class TestOutputScale:
+    # the sensitivity scales with C, so the interval does not depend on the
+    # scale c of C; squaring c before dividing by the sensitivity put the
+    # interval at [0, 0] past c = 1e155 and [inf, inf] below c = 1e-170
+    @pytest.mark.parametrize("kind,B_l,B_u", [(APRIORI, 1.1, 10.0), (APOSTERIORI, 0.1, 100.0)])
+    def test_interval_independent_of_the_output_scale(self, kind, B_l, B_u):
+        base = CALIBRATORS[kind](scalar_system(), target(kind, B_l, B_u))
+        assert base.feasible
+        for k in range(-300, 301, 10):
+            interval = CALIBRATORS[kind](scalar_system(c=10.0**k), target(kind, B_l, B_u))
+            assert interval.feasible, k
+            assert interval.eps_min == pytest.approx(base.eps_min, rel=1e-12), k
+            assert interval.eps_max == pytest.approx(base.eps_max, rel=1e-12), k
+            assert interval.sigma_at_eps_min == pytest.approx(base.sigma_at_eps_min * 10.0**k, rel=1e-12), k
+
+
+class TestDocumentedBoundaries:
+    def test_zero_dynamics_rejected_for_prediction(self):
+        with pytest.raises(DegenerateSystemError, match="tr\\(H\\^T H\\) is zero"):
+            calibrate_apriori(scalar_system(h=0.0), target(APRIORI, 1.1, 10.0))
+
+    def test_floor_at_the_reachable_edge_rejected(self):
+        # B_l = n lambda_min(W) exactly: b_l = lambda_min(W) is outside (0, lambda_min(W))
+        with pytest.raises(InvalidTargetError, match="must stay below n \\* lambda_min\\(W\\) = 2.0"):
+            calibrate_aposteriori(scalar_system(w=2.0), target(APOSTERIORI, 2.0, 10.0))
+
+    def test_zero_epsilon_rejected_by_verification(self):
+        with pytest.raises(OutOfDomainError, match="epsilon must be positive and finite"):
+            verify_calibration(scalar_system(), target(APRIORI, 1.1, 10.0), 0.0)
+
+    def test_zero_epsilon_endpoint_takes_infinite_noise(self):
+        # B_l just below lambda_min(W) and a tiny radius put eta_lo past float
+        # range, so eps_max is 0, which takes infinite noise
+        t = target(APOSTERIORI, math.nextafter(1.0, 0.0), 10.0, adjacency_B=1e-305)
+        interval = calibrate_aposteriori(scalar_system(), t)
+        assert interval.eps_max == 0.0 and interval.sigma_at_eps_max == math.inf
+        assert not interval.feasible
+        assert interval.to_dict()["sigma_at_eps_max"] is None

@@ -828,6 +828,57 @@ class TestConfigRoundTrip:
             loads_config(json.dumps(doc))
 
 
+def agent_doc(agent_id, C=((1.0,),), **privacy):
+    # one agent with H = 0.5 I, W = I and the given output map
+    n = len(C[0])
+    return {
+        "id": agent_id,
+        "system": {
+            "H": matrix(n, n, (0.5 * np.eye(n)).tolist()),
+            "C": matrix(len(C), n, [list(row) for row in C]),
+            "W": matrix(n, n, np.eye(n).tolist()),
+            "x0_hat": [0.0] * n,
+        },
+        "privacy": {"epsilon": 1.0, "delta": 0.01, "adjacency_B": 1.0, **privacy},
+    }
+
+
+class TestConfigBoundaries:
+    def test_largest_float_parses(self):
+        doc = case_study_doc()
+        doc["privacy"]["epsilon"] = sys.float_info.max
+        doc["calibration"]["B_l"] = -sys.float_info.max
+        parsed = loads_config(json.dumps(doc))
+        assert parsed.privacy.epsilon == sys.float_info.max
+        assert parsed.calibration.B_l == -sys.float_info.max
+
+    def test_largest_size_parses(self):
+        # sizes lie in [1, sys.maxsize]
+        doc = case_study_doc(simulation={"horizon_T": sys.maxsize, "trials": sys.maxsize, "seed": 1})
+        assert loads_config(json.dumps(doc)).simulation == SimulationSpec(sys.maxsize, sys.maxsize, 1)
+
+    def test_top_level_privacy_beside_agents_rejected(self):
+        doc = {"agents": [agent_doc("a")], "privacy": case_study_doc()["privacy"]}
+        with pytest.raises(ConfigError, match="with 'agents', privacy is per agent"):
+            loads_config(json.dumps(doc))
+
+    def test_rejected_agent_privacy_names_the_agent(self, write_config, capsys):
+        path = write_config({"agents": [agent_doc("loud"), agent_doc("quiet", sigma=0.001)]})
+        code, out, err = run(capsys, "compose", "--config", path, "--json")
+        assert (code, out) == (1, "")
+        assert err.startswith("error: agent 'quiet': noise scale below the (1.0, 0.01) minimum")
+
+    def test_compose_without_network_bounds_for_a_non_diagonal_map(self, write_config, capsys):
+        # a two-state agent whose output map mixes its states: the network has
+        # no bound window, and the rest of the report stands
+        path = write_config({"agents": [agent_doc("a"), agent_doc("mixed", C=((1.0, 1.0), (0.0, 1.0)))]})
+        code, out, _ = run(capsys, "compose", "--config", path, "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert "bounds" not in payload
+        assert payload["n"] == 3 and [a["id"] for a in payload["agents"]] == ["a", "mixed"]
+
+
 class TestRepeatedKeys:
     # strict JSON: a key repeated within one object is rejected, not read as
     # its last value, at any depth

@@ -19,10 +19,12 @@ from dpkalman.errors import (
 )
 from dpkalman.filtering import FilterSolution
 from dpkalman.linalg import (
+    SYMMETRY_TOL,
     RiccatiSolution,
     block_diag,
     controllability_check,
     observability_check,
+    require_symmetric,
     singular_values,
     symmetric_factor,
 )
@@ -78,6 +80,12 @@ class TestObservability:
         assert observability_check(CASE_H, np.diag([1.0, 0.0]))
         # the mirrored channel sees only the second, decoupled state
         assert not observability_check(np.eye(2), np.diag([1.0, 0.0]))
+
+    @pytest.mark.parametrize("H,C", [(np.ones((2, 3)), np.ones((1, 3))), (np.eye(2), np.eye(3))],
+                             ids=["non-square H", "C columns"])
+    def test_inconsistent_shapes_rejected(self, H, C):
+        with pytest.raises(DimensionMismatchError, match="inconsistent shapes"):
+            observability_check(H, C)
 
 
 class TestControllability:
@@ -376,6 +384,23 @@ class TestSystemModel:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             SystemModel(H=np.eye(2), C=np.eye(3), W=np.eye(2), x0_hat=np.zeros(2))
+
+    def test_rejects_non_square_h(self):
+        with pytest.raises(DimensionMismatchError, match="H must be square"):
+            SystemModel(H=np.ones((2, 3)), C=np.eye(2), W=np.eye(2), x0_hat=np.zeros(2))
+
+    def test_rejects_w_of_the_wrong_size(self):
+        with pytest.raises(DimensionMismatchError, match="W must be 2x2"):
+            SystemModel(H=np.eye(2), C=np.eye(2), W=np.eye(3), x0_hat=np.zeros(2))
+
+    def test_skew_exactly_at_the_tolerance_accepted(self):
+        # max |W_ij - W_ji| <= SYMMETRY_TOL is symmetric enough, and W is
+        # stored symmetrized; a skew one step past the tolerance is not
+        W = np.array([[1.0, SYMMETRY_TOL], [0.0, 1.0]])
+        system = SystemModel(H=np.eye(2), C=np.eye(2), W=W, x0_hat=np.zeros(2))
+        np.testing.assert_array_equal(system.W, [[1.0, SYMMETRY_TOL / 2], [SYMMETRY_TOL / 2, 1.0]])
+        with pytest.raises(NonSymmetricError):
+            require_symmetric(np.array([[1.0, math.nextafter(SYMMETRY_TOL, 1.0)], [0.0, 1.0]]))
 
     def test_huge_w_stays_finite(self):
         # W + W^T overflows at 1e308, but the symmetrized W is W itself

@@ -1,0 +1,24 @@
+import ast
+import importlib.util
+from pathlib import Path
+
+_ROOT = Path(__file__).resolve().parents[1]
+_SPEC = importlib.util.spec_from_file_location("mutants", _ROOT / "scripts" / "mutants.py")
+mutants = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(mutants)
+
+
+def test_every_equivalent_flip_names_a_site():
+    # a skip-list entry that matches no flip has gone stale
+    flips = {(path.name, link) for path in (mutants.ROOT / mutants.PACKAGE).glob("*.py")
+             for _, link, _ in mutants.mutants(path)}
+    assert set(mutants.EQUIVALENT) <= flips
+
+
+def test_each_link_of_a_chain_flips_alone(tmp_path):
+    path = tmp_path / "chained.py"
+    path.write_text("def inside(x):\n    return 0 < x <= 1\n")
+    flips = list(mutants.mutants(path))
+    assert [(line, link) for line, link, _ in flips] == [(2, "0 <= x"), (2, "x < 1")]
+    assert [ast.unparse(ast.parse(source).body[0].body[0].value) for _, _, source in flips] == [
+        "0 <= x <= 1", "0 < x < 1"]

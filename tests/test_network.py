@@ -75,6 +75,13 @@ class TestCompose:
             compose([scalar_agent("twin", 1.0), scalar_agent("twin", 0.5)])
 
 
+class TestAgentSpec:
+    def test_rejects_the_wrong_number_of_noise_scales(self):
+        # a one-channel privacy on the two-channel case study
+        with pytest.raises(DimensionMismatchError, match="privacy has 1 noise scales, system has 2 channels"):
+            AgentSpec(id="a", system=case_study_system(), privacy=scalar_agent("b", 0.5).privacy)
+
+
 class TestPerAgentSlices:
     def test_single_agent_slice_is_total(self):
         network = compose([agent("solo", case_study_system(), epsilon=LN3, delta=0.001)])

@@ -9,7 +9,8 @@ from scipy.stats import norm
 import dpkalman.privacy
 from dpkalman import PrivacyConfig, ValidationError, privatize
 from dpkalman.errors import DPKalmanError, NonPositiveSigmaError, OutOfDomainError
-from dpkalman.privacy import gaussian_sigma, noise_scales, q_inverse, sensitivity_bound
+from dpkalman.privacy import (SIGMA_ROUNDING_SLACK, gaussian_sigma, meets_minimum, noise_scales, q_inverse,
+                              sensitivity_bound)
 from dpkalman.rng import STREAM_PRIVACY, gaussian_generator
 from helpers import any_scalar, case_study_system
 
@@ -328,3 +329,23 @@ class TestMalformedInputs:
                 privatize(y, sigma, rng_seed, stream_index=stream_index)
             except DPKalmanError:
                 pass
+
+
+class TestDocumentedBoundaries:
+    @pytest.mark.parametrize("epsilon", [5e-324, 1e-300, 1.0, 1e308, sys.float_info.max, math.inf])
+    def test_zero_sensitivity_needs_no_noise_at_any_epsilon(self, epsilon):
+        # both branches of the formula, and the infinite epsilon, give 0
+        assert gaussian_sigma(epsilon, 0.001, 0.0) == 0.0
+
+    def test_scale_exactly_at_the_rounding_slack_is_compliant(self):
+        # compliant unless more than the slack below the minimum
+        minimal = gaussian_sigma(LN3, 0.001, 1.0)
+        edge = minimal * (1.0 - SIGMA_ROUNDING_SLACK)
+        assert meets_minimum([edge], minimal)
+        assert not meets_minimum([math.nextafter(edge, 0.0)], minimal)
+        cfg = PrivacyConfig(epsilon=LN3, delta=0.001, adjacency_B=1.0, sensitivity=1.0, sigma=[edge])
+        assert cfg.sigma[0] == edge
+
+    def test_zero_delta_rejected_by_the_sigma_rule(self):
+        with pytest.raises(OutOfDomainError, match=r"delta must lie in \(0, 0.5\), got 0.0"):
+            gaussian_sigma(1.0, 0.0, 1.0)

@@ -484,6 +484,18 @@ class TestEdges:
         with pytest.raises(ValidationError):
             case_config(horizon=0)
 
+    @pytest.mark.parametrize("privacy,message", [("ln 3", "privacy must be a PrivacyConfig or None"),
+                                                 (None, "needs a privacy configuration")])
+    def test_single_system_needs_a_privacy_config(self, privacy, message):
+        with pytest.raises(ValidationError, match=message):
+            SimulationConfig(system=case_study_system(), privacy=privacy, horizon_T=5, trials=1, seed=0)
+
+    def test_write_csv_rejects_paths_of_the_wrong_shape(self, tmp_path):
+        res = simulate(case_config(trials=3, horizon=5))
+        short = dataclasses.replace(res, sq_err_post=res.sq_err_post[:, :-1])
+        with pytest.raises(ValidationError, match=r"sq_err_post must have shape \(3, 5\), got \(3, 4\)"):
+            write_csv(short, tmp_path / "out.csv")
+
     @pytest.mark.parametrize("field,key,value", [("trials", "trials", 2.5), ("horizon_T", "horizon", 3.0),
                                                  ("trials", "trials", True), ("seed", "seed", 2.5),
                                                  ("seed", "seed", "x"), ("seed", "seed", None),
