@@ -1,20 +1,22 @@
-"""Flip one comparison of the package at a time and list the flips no test catches.
+"""Mutate one site of the package at a time and list the mutants no test catches.
 
     python3 scripts/mutants.py [MODULE ...]
 
-Each ``<``, ``<=``, ``>`` and ``>=`` in the named modules of
-``src/dpkalman`` (file stems such as ``linalg``; default: every module) is
-flipped to its neighbour, ``<`` with ``<=`` and ``>`` with ``>=``, one site at a
-time. Each mutant runs ``python -m pytest -x -q tests`` in a copy of the
+Two kinds of mutation run on the named modules of ``src/dpkalman`` (file
+stems such as ``linalg``; default: every module), one site at a time: each
+``<``, ``<=``, ``>`` and ``>=`` is flipped to its neighbour, ``<`` with ``<=``
+and ``>`` with ``>=``, and each call of ``min`` or ``max``, as a name
+(``min(a, b)``) or an attribute (``np.max(x)``, ``x.min()``), is swapped for
+the other. Each mutant runs ``python -m pytest -x -q tests`` in a copy of the
 checkout in a temporary directory, strictly one process at a time; the
-checkout itself is not edited. A flip that no test fails survives. The flips
-in ``EQUIVALENT`` are not run: each changes nothing that an input can reach,
-for the reason given beside it.
+checkout itself is not edited. A mutant that no test fails survives. The
+mutants in ``EQUIVALENT`` are not run: each changes nothing that an input can
+reach, for the reason given beside it.
 
-Prints one line per flip as ``file:line  flipped comparison  killed|SURVIVED``
-and then the survivors; exits 1 if any flip survives. A whole-package run
-takes about 13 minutes on a 2-vCPU x86_64 VM, so it is not part of the test
-suite.
+Prints one line per mutant as ``file:line  mutated expression  killed|SURVIVED``
+and then the survivors; exits 1 if any mutant survives. A whole-package run
+of the comparison flips alone took about 13 minutes on a 2-vCPU x86_64 VM, so
+it is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src", "dpkalman")
 FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
+SWAP = {"min": "max", "max": "min"}
 # a mutant whose tests run this long is taken as killed (a loop that no longer ends)
 TIMEOUT_S = 900
 
-# (file, comparison after the flip): why no reachable input tells it apart;
-# an entry covers every site of the file whose flip reads the same
+# (file, expression after the mutation): why no reachable input tells it
+# apart; an entry covers every site of the file whose mutant reads the same
 EQUIVALENT = {
     ("linalg.py", "w[0] <= -W.shape[0] * np.finfo(float).eps * abs(w[-1])"):
         "a tolerance edge: an eigenvalue exactly at -n eps |w_max| has measure zero",
@@ -56,12 +59,30 @@ EQUIVALENT = {
 }
 
 
+def _min_max_field(func: ast.expr) -> str | None:
+    """The field of a call's ``func`` that names ``min`` or ``max``, if one does."""
+    if isinstance(func, ast.Name) and func.id in SWAP:
+        return "id"
+    if isinstance(func, ast.Attribute) and func.attr in SWAP:
+        return "attr"
+    return None
+
+
 def mutants(path: Path):
-    """Yield (line, flipped comparison, mutated module source) for each flip in ``path``."""
+    """Yield (line, mutated expression, mutated module source) for each mutant of ``path``."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    compares = sorted((node for node in ast.walk(tree) if isinstance(node, ast.Compare)),
-                      key=lambda node: (node.lineno, node.col_offset))
-    for node in compares:
+    sites = sorted((node for node in ast.walk(tree)
+                    if isinstance(node, ast.Compare)
+                    or isinstance(node, ast.Call) and _min_max_field(node.func)),
+                   key=lambda node: (node.lineno, node.col_offset))
+    for node in sites:
+        if isinstance(node, ast.Call):
+            field = _min_max_field(node.func)
+            name = getattr(node.func, field)
+            setattr(node.func, field, SWAP[name])
+            yield node.lineno, ast.unparse(node), ast.unparse(tree)
+            setattr(node.func, field, name)
+            continue
         for i, op in enumerate(node.ops):
             if type(op) in FLIP:
                 node.ops[i] = FLIP[type(op)]()
@@ -100,10 +121,10 @@ def main(argv=None) -> int:
         copy = Path(tmp, "checkout")
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis"))
         for path in files:
-            for line, link, source in mutants(path):
-                if (path.name, link) in EQUIVALENT:
+            for line, text, source in mutants(path):
+                if (path.name, text) in EQUIVALENT:
                     continue
-                site = f"{path.name}:{line}  {link}"
+                site = f"{path.name}:{line}  {text}"
                 alive = survives(copy, copy / PACKAGE / path.name, source)
                 print(f"{site}  {'SURVIVED' if alive else 'killed'}", flush=True)
                 if alive:

@@ -225,8 +225,10 @@ def _cmd_compose(args, config) -> int:
     }
     try:
         doc["bounds"] = all_bounds(network.system, network.sigma)
-    except NotDiagonalError:
-        pass  # network-level bounds need a diagonal composed C
+    except NotDiagonalError as exc:
+        # network-level bounds need a diagonal composed C; the per-agent
+        # report stands
+        print(f"note: no network-level bounds: {exc}", file=sys.stderr)
     _emit(doc, args.json)
     return EXIT_OK
 

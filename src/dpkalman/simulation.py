@@ -20,14 +20,25 @@ Each span of blocks run by one thread gets its noise buffers once, before the
 Riccati solve, so a size that cannot be allocated fails before any work; every
 block of the span refills them. The privacy noise is drawn unscaled and the
 noise scales enter through the gain, v diag(sigma) K_t = v (diag(sigma) K_t),
-folded once per span. The prior and posterior errors are one (2, block, n)
-array, and each step writes both squared errors as one (2, m) slice of a
-time-major (2, rows, trials) output; each trial's errors past the burn-in are
-summed in time order as the steps run. With rows = T the paths are returned as
-``(trials, T)`` transposed views of its two halves, so they are not
+folded once per span.
+
+A block runs in chunks of ``CHUNK_STEPS`` steps. A step makes only the four
+calls the error recursion feeds back through: post = prior A_t, post -= its
+privacy-noise product, prior' = post H_t, prior' += its process-noise product,
+writing its (prior, post) errors into a chunk buffer. Everything else runs once
+per chunk on buffers allocated once per span: each noise product is one
+stacked matmul over the chunk's steps, whose every slice is the gemm a lone
+step would make on the same strides; the squared errors are one multiply and
+the components added left to right; one copy writes the chunk into the
+time-major (2, T, trials) output; and each trial's errors past the burn-in are
+added to its sum in time order. With ``paths=True`` the paths are returned as
+``(trials, T)`` transposed views of the output's two halves, so they are not
 C-contiguous (``np.ascontiguousarray`` gives a C-ordered copy); with
-``paths=False`` every step reuses one row, so memory is bounded by one block's
-noise instead of trials x T, and the summary has the same bits.
+``paths=False`` no output is allocated, so memory is bounded by one block's
+noise and the chunk buffers instead of trials x T, and the summary has the
+same bits. A trial whose time sum leaves float range while its mean would not
+is stepped again from the same noise, with each square scaled by
+1 / (T - burn-in) before it is added.
 """
 
 from __future__ import annotations
@@ -57,6 +68,13 @@ BURN_IN = 10
 # Trials per noise block: block b holds trials [b * NOISE_BLOCK, (b + 1) *
 # NOISE_BLOCK) and draws from the (seed, b, stream) substreams.
 NOISE_BLOCK = 1024
+
+# Steps per chunk of the step kernel (module docstring). Measured on simulate
+# on a 2-vCPU x86_64 VM: against a step at a time, chunks of 8 took about 20 %
+# off the 200 x 2000 two-agent run and 3-5 % off the 20000 x 200 case-study
+# run; against 8, chunks of 16 or 32 took 2-3 % more off the first and added
+# 3-4 % to the second.
+CHUNK_STEPS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,19 +169,6 @@ class SimulationResult:
         return self.summary.horizon_T
 
 
-def _sq_err(e: np.ndarray, out: np.ndarray) -> None:
-    # Writes (e ** 2).sum(axis=-1) into out by adding the squared state
-    # components left to right, at a fraction of the cost of a reduce along
-    # a short axis.
-    d = e * e
-    if d.shape[-1] == 1:
-        np.copyto(out, d[..., 0])
-        return
-    np.add(d[..., 0], d[..., 1], out=out)
-    for j in range(2, d.shape[-1]):
-        out += d[..., j]
-
-
 def _mean_and_stderr(x: np.ndarray) -> tuple[float, float]:
     # The mean of the per-trial means and its standard error, kept finite for
     # finite per-trial means by linalg._in_float_range.
@@ -176,48 +181,99 @@ def _mean_and_stderr(x: np.ndarray) -> tuple[float, float]:
 
 def _run_trials(lo: int, hi: int, w_buf: np.ndarray, v_buf: np.ndarray, sol: FilterSolution,
                 sigma: np.ndarray, seed: int, T: int, burn: int, x0_factor: np.ndarray | None,
-                out: np.ndarray, means: np.ndarray) -> None:
+                out: np.ndarray | None, means: np.ndarray) -> None:
     # Simulates trials [lo, hi) one noise block at a time and writes their
     # per-trial means past the burn-in into columns [lo, hi) of the (2,
-    # trials) means, prior then posterior. lo is a multiple of NOISE_BLOCK
-    # and so is hi unless it is the trial count, so no block is split
-    # between calls. w_buf and v_buf are the span's (block, T, n) and
-    # (block, T, q) noise buffers, refilled by every block. Step k writes
-    # both squared errors to row k % rows of the (2, rows, trials) output:
-    # rows == T keeps every step, rows == 1 reuses one row.
+    # trials) means, prior then posterior, and their squared errors into
+    # columns [lo, hi) of the (2, T, trials) output unless it is None. lo is
+    # a multiple of NOISE_BLOCK and so is hi unless it is the trial count, so
+    # no block is split between calls. w_buf and v_buf are the span's
+    # (block, T, n) and (block, T, q) noise buffers, refilled by every block.
     system = sol.system
     A_t, H_t, n = sol.A_t, sol.H_t, system.n
-    rows = out.shape[1]
     # the noise scales folded into the gain (module docstring): a (q, n)
     # product per span instead of a pass over every block's privacy noise
     sigma_k_t = sigma[:, None] * sol.K_t
     chol_w_t = np.ascontiguousarray(np.linalg.cholesky(system.W).T)
-    errors = np.empty((2, len(w_buf), n))
+    S, size = min(CHUNK_STEPS, T), len(w_buf)
+    # the chunk buffers: step j of a chunk reads the prior errors e[j, 0] and
+    # writes the posterior errors e[j, 1] and the next prior errors
+    # e[j + 1, 0]; dv and dw hold the chunk's noise products, d its squared
+    # state components and sq[j + 1] its squared errors, with sq[0] free for
+    # the running sums
+    e_buf, d_buf = np.empty((S + 1, 2, size, n)), np.empty((S, 2, size, n))
+    dv_buf, dw_buf, sq_buf = np.empty((S, size, n)), np.empty((S, size, n)), np.empty((S + 1, 2, size))
+
+    def run_block(m: int, block: int, sums: np.ndarray, paths: np.ndarray | None,
+                  scale: float | None) -> None:
+        # Steps the block's m trials, whose noise fills the first m rows of
+        # the buffers, and sets the (2, m) sums to each trial's squared
+        # errors past the burn-in, times scale if it is given, added in time
+        # order; paths is the block's (2, T, m) slice of the output, or None.
+        w, v = w_buf[:m], v_buf[:m]
+        e, d, sq = e_buf[:, :, :m], d_buf[:, :, :m], sq_buf[:, :, :m]
+        dv, dw = dv_buf[:, :m], dw_buf[:, :m]
+        if x0_factor is None:
+            e[0, 0] = 0.0
+        else:
+            e[0, 0] = gaussian_generator(seed, trial=block, stream=STREAM_INIT).standard_normal((m, n)) @ x0_factor.T
+        steps = [(e[j, 0], e[j, 1], e[j + 1, 0], dv[j], dw[j]) for j in range(S)]
+        sums[:] = 0.0
+        for k0 in range(0, T, S):
+            s = min(S, T - k0)
+            # slice j of each product is the (m, q) @ (q, n) gemm of step
+            # k0 + j, on the strides of v[:, k0 + j] (w[:, k0 + j])
+            np.matmul(v[:, k0:k0 + s].transpose(1, 0, 2), sigma_k_t, out=dv[:s])
+            np.matmul(w[:, k0:k0 + s].transpose(1, 0, 2), chol_w_t, out=dw[:s])
+            # np.dot makes the gemm np.matmul would, at less call overhead
+            for prior, post, prior_next, dv_j, dw_j in steps[:s]:
+                np.dot(prior, A_t, out=post)
+                post -= dv_j
+                np.dot(post, H_t, out=prior_next)
+                prior_next += dw_j
+            # a squared error adds the squared state components left to right
+            np.multiply(e[:s], e[:s], out=d[:s])
+            chunk_sq = sq[1:s + 1]
+            if n == 1:
+                np.copyto(chunk_sq, d[:s, ..., 0])
+            else:
+                np.add(d[:s, ..., 0], d[:s, ..., 1], out=chunk_sq)
+            for c in range(2, n):
+                chunk_sq += d[:s, ..., c]
+            if paths is not None:
+                np.copyto(paths[:, k0:k0 + s], chunk_sq.transpose(1, 0, 2))
+            if scale is not None:
+                chunk_sq *= scale
+            # the sums take the row before the chunk's first step past the
+            # burn-in (the last row if there is none), and a reduce along the
+            # leading axis adds the rows in order: the bits of sums += sq[j + 1]
+            # for each such step j; a sum past float range is stepped again
+            # below
+            j0 = min(max(burn - k0, 0), s)
+            np.copyto(sq[j0], sums)
+            with np.errstate(over="ignore"):
+                np.add.reduce(sq[j0:s + 1], axis=0, out=sums)
+            np.copyto(e[0, 0], e[s, 0])
+
     for start in range(lo, hi, NOISE_BLOCK):
         stop = min(start + NOISE_BLOCK, hi)
         m, block = stop - start, start // NOISE_BLOCK
         # filling the first m rows in C order draws the same values as
         # standard_normal((m, T, n)) and standard_normal((m, T, q))
-        w, v = w_buf[:m], v_buf[:m]
-        gaussian_generator(seed, trial=block, stream=STREAM_PROCESS).standard_normal(out=w)
-        gaussian_generator(seed, trial=block, stream=STREAM_PRIVACY).standard_normal(out=v)
-        prior, post = e = errors[:, :m]
-        if x0_factor is None:
-            prior[:] = 0.0
-        else:
-            prior[:] = gaussian_generator(seed, trial=block, stream=STREAM_INIT).standard_normal((m, n)) @ x0_factor.T
+        gaussian_generator(seed, trial=block, stream=STREAM_PROCESS).standard_normal(out=w_buf[:m])
+        gaussian_generator(seed, trial=block, stream=STREAM_PRIVACY).standard_normal(out=v_buf[:m])
         sums = means[:, start:stop]
-        sums[:] = 0.0
-        for k in range(T):
-            sq = out[:, k % rows, start:stop]
-            np.matmul(prior, A_t, out=post)
-            post -= v[:, k] @ sigma_k_t
-            _sq_err(e, sq)
-            if k >= burn:
-                sums += sq
-            np.matmul(post, H_t, out=prior)
-            prior += w[:, k] @ chol_w_t
+        run_block(m, block, sums, None if out is None else out[:, :, start:stop], None)
         sums /= T - burn
+        overflowed = ~np.isfinite(sums)
+        if overflowed.any():
+            # a trial's sum left float range, or its squares did: step the
+            # block again from the same noise, scaling each square by
+            # 1 / (T - burn) before it is added, and keep the means of the
+            # sums that overflowed; the others keep their bits
+            scaled = np.empty_like(sums)
+            run_block(m, block, scaled, None, 1.0 / (T - burn))
+            sums[overflowed] = scaled[overflowed]
 
 
 def simulate(config: SimulationConfig, *, threads: int = 1, paths: bool = True) -> SimulationResult:
@@ -234,7 +290,7 @@ def simulate(config: SimulationConfig, *, threads: int = 1, paths: bool = True) 
     threads = max(1, _as_int(threads, "threads"))
     try:
         means = np.empty((2, trials))
-        out = np.empty((2, T if paths else 1, trials))
+        out = np.empty((2, T, trials)) if paths else None
         # spans start at block boundaries, so threads never split a noise
         # block; integer ceiling division, so that no thread count rounds the
         # chunk to 0

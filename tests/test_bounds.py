@@ -85,6 +85,11 @@ class TestChannelExtremes:
         below = math.nextafter(DIAGONALITY_RTOL, 0.0)
         assert channel_extremes(np.array([[1.0, below], [0.0, 2.0]]), np.ones(2)).u == 1
 
+    def test_off_diagonal_tolerance_scales_with_the_largest_entry(self):
+        # 1e-8 is below DIAGONALITY_RTOL times the largest |C_ii| (1e6), though
+        # not below it times the smallest (1)
+        assert channel_extremes(np.array([[1e6, 1e-8], [0.0, 1.0]]), np.ones(2)).u == 0
+
 
 class TestAprioriTrace:
     def test_zero_dynamics_collapse(self):
@@ -137,6 +142,14 @@ class TestAprioriLogdet:
         assert rep.intermediates["eta"] == pytest.approx(10.347242, abs=1e-5)
         assert rep.upper == pytest.approx(23.44, abs=0.01)
         assert rep.lower == pytest.approx(4.613, abs=0.001)
+
+    def test_eta_takes_the_largest_gamma(self):
+        # gamma_i = W_ii / (1 + W_ii (C_ii / sigma_i)^2) = 0.5 and 0.75; eta is
+        # sigma_min(H)^2 max gamma_i + lambda_min(W) = 1 * 0.75 + 1
+        system = SystemModel(H=np.diag([2.0, 1.0]), C=np.eye(2), W=np.diag([1.0, 3.0]), x0_hat=np.zeros(2))
+        rep = apriori_logdet_bounds(system, np.ones(2))
+        assert (rep.intermediates["gamma_1"], rep.intermediates["gamma_2"]) == (0.5, 0.75)
+        assert rep.intermediates["eta"] == pytest.approx(1.75, rel=1e-14)
 
     def test_case_study_sigma_fails_precondition(self):
         rep = apriori_logdet_bounds(case_study_system(), np.full(2, SIGMA_CASE))

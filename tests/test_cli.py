@@ -452,8 +452,8 @@ class TestComposeCommand:
             ]
         }
         path = write_config(doc)
-        code, out, _ = run(capsys, "compose", "--config", path, "--json")
-        assert code == 0
+        code, out, err = run(capsys, "compose", "--config", path, "--json")
+        assert (code, err) == (0, "")
         payload = json.loads(out)
         assert payload["n"] == 2
         assert payload["agents"][0]["state_offset"] == [0, 1]
@@ -877,6 +877,19 @@ class TestConfigBoundaries:
         payload = json.loads(out)
         assert "bounds" not in payload
         assert payload["n"] == 3 and [a["id"] for a in payload["agents"]] == ["a", "mixed"]
+
+    @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
+    def test_compose_says_why_it_has_no_network_bounds(self, write_config, capsys, as_json):
+        # the missing bounds are named on stderr, with the reason; stdout and
+        # the exit code are those of the report without them
+        path = write_config({"agents": [agent_doc("a"), agent_doc("mixed", C=((1.0, 1.0), (0.0, 1.0)))]})
+        code, out, err = run(capsys, "compose", "--config", path, *(["--json"] if as_json else []))
+        assert code == 0
+        assert err.splitlines() == [
+            "note: no network-level bounds: C must be diagonal: max off-diagonal magnitude 1.000e+00 "
+            "exceeds 1e-12 * max |C_ii|"]
+        if as_json:
+            assert "bounds" not in json.loads(out)
 
 
 class TestRepeatedKeys:

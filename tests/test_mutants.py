@@ -22,3 +22,17 @@ def test_each_link_of_a_chain_flips_alone(tmp_path):
     assert [(line, link) for line, link, _ in flips] == [(2, "0 <= x"), (2, "x < 1")]
     assert [ast.unparse(ast.parse(source).body[0].body[0].value) for _, _, source in flips] == [
         "0 <= x <= 1", "0 < x < 1"]
+
+
+def test_each_min_and_max_call_swaps_alone(tmp_path):
+    # a name call, a call nested in it and an attribute call: each mutant
+    # swaps one of them and leaves the others as they are
+    path = tmp_path / "clipped.py"
+    path.write_text("def clip(x, hi):\n    return max(0, min(x, hi)) + np.max(x) < 1\n")
+    flips = list(mutants.mutants(path))
+    assert [(line, text) for line, text, _ in flips] == [
+        (2, "max(0, min(x, hi)) + np.max(x) <= 1"), (2, "min(0, min(x, hi))"), (2, "max(x, hi)"),
+        (2, "np.min(x)")]
+    assert [ast.unparse(ast.parse(source).body[0].body[0].value) for _, _, source in flips] == [
+        "max(0, min(x, hi)) + np.max(x) <= 1", "min(0, min(x, hi)) + np.max(x) < 1",
+        "max(0, max(x, hi)) + np.max(x) < 1", "max(0, min(x, hi)) + np.min(x) < 1"]

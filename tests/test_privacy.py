@@ -346,6 +346,12 @@ class TestDocumentedBoundaries:
         cfg = PrivacyConfig(epsilon=LN3, delta=0.001, adjacency_B=1.0, sensitivity=1.0, sigma=[edge])
         assert cfg.sigma[0] == edge
 
+    def test_scale_below_the_minimum_names_the_smallest_scale(self):
+        minimal = gaussian_sigma(LN3, 0.001, 1.0)
+        with pytest.raises(ValidationError, match=f"got {minimal / 2:.6g}$"):
+            PrivacyConfig(epsilon=LN3, delta=0.001, adjacency_B=1.0, sensitivity=1.0,
+                          sigma=[10.0 * minimal, minimal / 2])
+
     def test_zero_delta_rejected_by_the_sigma_rule(self):
         with pytest.raises(OutOfDomainError, match=r"delta must lie in \(0, 0.5\), got 0.0"):
             gaussian_sigma(1.0, 0.0, 1.0)

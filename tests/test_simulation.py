@@ -19,11 +19,12 @@ from dpkalman import (
     compose,
     run_filter,
     simulate,
+    solve_filter,
     write_csv,
 )
 from dpkalman.config import build_agents, load_config
-from dpkalman.rng import STREAM_PRIVACY, STREAM_PROCESS, gaussian_generator
-from dpkalman.simulation import BURN_IN, CSV_HEADER, NOISE_BLOCK, _float_texts
+from dpkalman.rng import STREAM_INIT, STREAM_PRIVACY, STREAM_PROCESS, gaussian_generator
+from dpkalman.simulation import BURN_IN, CHUNK_STEPS, CSV_HEADER, NOISE_BLOCK, _float_texts, _mean_and_stderr
 from helpers import case_study_system, reference_paths
 from test_cli import CONFIGS
 from test_network import agent, scalar_agent
@@ -157,6 +158,132 @@ class TestKernelInvariants:
             assert math.isinf(full.sq_err_prior[:, s.burn_in:].mean(axis=1).sum())
 
 
+    def test_overflowing_time_sum_gives_finite_means(self):
+        # prior squared errors near 2e306 over 290 steps: each trial's plain
+        # time sum leaves float range, its mean does not; no RuntimeWarning
+        # (an error under this suite's warning filter)
+        system = SystemModel(H=0.5 * np.eye(2), C=np.eye(2), W=1e306 * np.eye(2), x0_hat=np.zeros(2))
+        privacy = PrivacyConfig.for_system(system, epsilon=1.0, delta=0.01, adjacency_B=1.0)
+        config = SimulationConfig(system=system, privacy=privacy, horizon_T=300, trials=2, seed=1)
+        full = simulate(config)
+        assert simulate(config, paths=False).summary == full.summary
+        s = full.summary
+        with np.errstate(over="ignore"):
+            assert np.all(np.isinf(full.sq_err_prior[:, s.burn_in:].sum(axis=1)))
+        for paths, mean in ((full.sq_err_prior, s.mean_sq_err_prior), (full.sq_err_post, s.mean_sq_err_post)):
+            assert np.all(np.isfinite(paths))
+            # a power of two keeps the scaled values exact
+            scale = 2.0 ** math.frexp(paths.max())[1]
+            per_trial = (paths[:, s.burn_in:] / scale).mean(axis=1)
+            assert mean / scale == pytest.approx(per_trial.mean(), rel=1e-13, abs=0.0)
+
+    def test_trials_whose_time_sum_stays_finite_keep_their_bits(self):
+        # near the edge of float range some trials' plain time sums overflow
+        # and the others' do not: only the overflowed ones take the sum of
+        # their squares scaled by 1 / (T - burn)
+        system = SystemModel(H=0.5 * np.eye(2), C=np.eye(2), W=1e306 * np.eye(2), x0_hat=np.zeros(2))
+        privacy = PrivacyConfig.for_system(system, epsilon=1.0, delta=0.01, adjacency_B=1.0)
+        config = SimulationConfig(system=system, privacy=privacy, horizon_T=90, trials=20, seed=1)
+        paths = np.empty((2, 90, 20))
+        want = reference_means(config, paths)
+        burn = min(BURN_IN, 89)
+        overflowed = ~np.isfinite(want)
+        assert 0 < overflowed.sum() < overflowed[0].size
+        for half, i in zip(*np.nonzero(overflowed)):
+            acc = 0.0
+            for x in paths[half, burn:, i] * (1.0 / (90 - burn)):
+                acc += x
+            want[half, i] = acc
+        assert np.all(np.isfinite(want))
+        (mean_prior, se_prior), (mean_post, se_post) = map(_mean_and_stderr, want)
+        full = simulate(config)
+        for s in (full.summary, simulate(config, paths=False).summary):
+            assert (s.mean_sq_err_prior, s.mean_sq_err_post) == (mean_prior, mean_post)
+            assert (s.stderr_sq_err_prior, s.stderr_sq_err_post) == (se_prior, se_post)
+
+
+def _reference_plant(n, radius):
+    # a seeded plant whose dynamics have spectral radius `radius`
+    rng = np.random.default_rng(100 + n)
+    H = rng.normal(size=(n, n))
+    H *= radius / np.max(np.abs(np.linalg.eigvals(H)))
+    body = rng.normal(size=(n, n))
+    return SystemModel(H=H, C=np.diag(rng.uniform(0.5, 2.0, size=n)), W=body @ body.T / n + np.eye(n),
+                       x0_hat=rng.normal(size=n))
+
+
+def reference_means(config, out=None):
+    """The per-trial means of ``config``, stepped one step at a time.
+
+    The step loop of the engine before it ran in chunks: per noise block,
+    per step, the two noise products, the squared errors added left to
+    right, and each trial's sum past the burn-in in time order. Fills the
+    ``(2, T, trials)`` ``out`` with the squared errors if it is given.
+    """
+    system, sigma = config.resolve()
+    sol = solve_filter(system, sigma)
+    T, trials, n, seed = config.horizon_T, config.trials, system.n, config.seed
+    burn = min(BURN_IN, T - 1)
+    sigma_k_t = sigma[:, None] * sol.K_t
+    chol_w_t = np.ascontiguousarray(np.linalg.cholesky(system.W).T)
+    means = np.empty((2, trials))
+    for start in range(0, trials, NOISE_BLOCK):
+        m, block = min(NOISE_BLOCK, trials - start), start // NOISE_BLOCK
+        w = gaussian_generator(seed, trial=block, stream=STREAM_PROCESS).standard_normal((m, T, n))
+        v = gaussian_generator(seed, trial=block, stream=STREAM_PRIVACY).standard_normal((m, T, system.q))
+        prior, post = e = np.empty((2, m, n))
+        if config.x0_cov is None:
+            prior[:] = 0.0
+        else:
+            prior[:] = gaussian_generator(seed, trial=block, stream=STREAM_INIT).standard_normal((m, n)) \
+                @ config._x0_factor.T
+        sums = means[:, start:start + m]
+        sums[:] = 0.0
+        for k in range(T):
+            np.matmul(prior, sol.A_t, out=post)
+            post -= v[:, k] @ sigma_k_t
+            d = e * e
+            sq = d[..., 0].copy()
+            for c in range(1, n):
+                sq += d[..., c]
+            if out is not None:
+                out[:, k, start:start + m] = sq
+            if k >= burn:
+                with np.errstate(over="ignore"):
+                    sums += sq
+            np.matmul(post, sol.H_t, out=prior)
+            prior += w[:, k] @ chol_w_t
+        sums /= T - burn
+    return means
+
+
+class TestReferenceLoop:
+    # horizons that end on, just past and inside a chunk, and burn-ins that
+    # end inside one
+    HORIZONS = (1, 2, CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1, BURN_IN, BURN_IN + 1,
+                2 * CHUNK_STEPS + 1, 5 * CHUNK_STEPS)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("radius", [0.6, 1.05])
+    def test_chunks_give_the_bits_of_a_step_at_a_time(self, n, radius):
+        system = _reference_plant(n, radius)
+        privacy = PrivacyConfig.for_system(system, epsilon=1.0, delta=0.001, adjacency_B=1.0)
+        for T in self.HORIZONS:
+            for trials in (9, NOISE_BLOCK + 1):
+                for x0_cov in (None, 4.0 * np.eye(n)):
+                    config = SimulationConfig(system=system, privacy=privacy, horizon_T=T, trials=trials,
+                                              seed=T, x0_cov=x0_cov)
+                    paths = np.empty((2, T, trials))
+                    (prior, se_prior), (post, se_post) = map(_mean_and_stderr, reference_means(config, paths))
+                    for threads in (1, 3):
+                        full = simulate(config, threads=threads)
+                        assert np.array_equal(full.sq_err_prior, paths[0].T)
+                        assert np.array_equal(full.sq_err_post, paths[1].T)
+                        for s in (full.summary, simulate(config, threads=threads, paths=False).summary):
+                            assert (s.mean_sq_err_prior, s.mean_sq_err_post) == (prior, post)
+                            assert (s.stderr_sq_err_prior, s.stderr_sq_err_post) == (se_prior, se_post)
+
+
 # where repr and orjson's notations part, and values on either side
 _REPR_EDGES = [float(x) for x in (
     np.nextafter(1e-4, 0), 1e-4, np.nextafter(1e-4, 1), np.nextafter(1e16, 0), 1e16,
@@ -176,6 +303,18 @@ class TestWriteCsv:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
+
+    def test_extra_memory_does_not_grow_with_the_trial_count(self, tmp_path):
+        # many short trials: a scratch copy of every trial's two rows would
+        # take twice the size of one path array
+        res = simulate(case_config(trials=256, horizon=100))
+        tracemalloc.start()
+        try:
+            write_csv(res, tmp_path / "out.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < res.sq_err_prior.nbytes
 
     def test_bytes_match_a_row_by_row_reference(self, tmp_path):
         # 17 trials cross the edges of the chunks write_csv copies at a time;
