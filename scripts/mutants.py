@@ -2,16 +2,20 @@
 
     python3 scripts/mutants.py [MODULE ...]
 
-Two kinds of mutation run on the named modules of ``src/dpkalman`` (file
+Three kinds of mutation run on the named modules of ``src/dpkalman`` (file
 stems such as ``linalg``; default: every module), one site at a time: each
 ``<``, ``<=``, ``>`` and ``>=`` is flipped to its neighbour, ``<`` with ``<=``
-and ``>`` with ``>=``, and each call of ``min`` or ``max``, as a name
+and ``>`` with ``>=``; each call of ``min`` or ``max``, as a name
 (``min(a, b)``) or an attribute (``np.max(x)``, ``x.min()``), is swapped for
-the other. Each mutant runs ``python -m pytest -x -q tests`` in a copy of the
-checkout in a temporary directory, strictly one process at a time; the
-checkout itself is not edited. A mutant that no test fails survives. The
-mutants in ``EQUIVALENT`` are not run: each changes nothing that an input can
-reach, for the reason given beside it.
+the other; and each module-level constant assigned an int or float literal
+(``CHUNK_STEPS = 8``, ``DARE_RESIDUAL_TOL = 1e-10``) is doubled and, apart,
+halved, an int by floor division so that it stays an int; a nudge that leaves
+the value as it was is not a mutant. Each mutant runs
+``python -m pytest -x -q tests`` in a copy of the checkout in a temporary
+directory, strictly one process at a time; the checkout itself is not edited.
+A mutant that no test fails survives. The mutants in ``EQUIVALENT`` are not
+run: each changes nothing that an input can reach, for the reason given beside
+it.
 
 Prints one line per mutant as ``file:line  mutated expression  killed|SURVIVED``
 and then the survivors; exits 1 if any mutant survives. A whole-package run
@@ -34,6 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = Path("src", "dpkalman")
 FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 SWAP = {"min": "max", "max": "min"}
+NUDGE = 2
 # a mutant whose tests run this long is taken as killed (a loop that no longer ends)
 TIMEOUT_S = 900
 
@@ -56,6 +61,12 @@ EQUIVALENT = {
         "repr and orjson both write 0.0001",
     ("filtering.py", "d <= nw - 1"):
         "one more doubling round works on an empty slice of the window ends",
+    ("simulation.py", "8 * trials * T * (system.n + system.q) >= sys.maxsize"):
+        "a count of bytes is a multiple of 8 and sys.maxsize is odd: the two are never equal",
+    ("simulation.py", "CHUNK_STEPS = 16"):
+        "the chunk length is bit-neutral: any chunk gives the bits of a step at a time",
+    ("simulation.py", "CHUNK_STEPS = 4"):
+        "the chunk length is bit-neutral: any chunk gives the bits of a step at a time",
 }
 
 
@@ -68,14 +79,29 @@ def _min_max_field(func: ast.expr) -> str | None:
     return None
 
 
+def _numeric_constant(node: ast.stmt) -> bool:
+    """Whether a module-level statement assigns an int or float literal (not a bool)."""
+    return (isinstance(node, (ast.Assign, ast.AnnAssign)) and isinstance(node.value, ast.Constant)
+            and type(node.value.value) in (int, float))
+
+
 def mutants(path: Path):
     """Yield (line, mutated expression, mutated module source) for each mutant of ``path``."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    sites = sorted((node for node in ast.walk(tree)
-                    if isinstance(node, ast.Compare)
-                    or isinstance(node, ast.Call) and _min_max_field(node.func)),
+    sites = sorted([*(node for node in ast.walk(tree)
+                      if isinstance(node, ast.Compare)
+                      or isinstance(node, ast.Call) and _min_max_field(node.func)),
+                    *filter(_numeric_constant, tree.body)],
                    key=lambda node: (node.lineno, node.col_offset))
     for node in sites:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            value = node.value.value
+            for nudged in (value * NUDGE, value // NUDGE if isinstance(value, int) else value / NUDGE):
+                if nudged != value:
+                    node.value.value = nudged
+                    yield node.lineno, ast.unparse(node), ast.unparse(tree)
+            node.value.value = value
+            continue
         if isinstance(node, ast.Call):
             field = _min_max_field(node.func)
             name = getattr(node.func, field)

@@ -7,25 +7,30 @@ privacy noise alone. No state path is formed, so the errors lose no bits to
 cancellation when the state grows, as on an unstable plant. Each trial
 records squared prediction/estimation errors per step next to the constant
 trace bounds; a squared error adds the squared state components left to
-right. Trials are drawn in blocks of ``NOISE_BLOCK``: process noise,
-privacy noise, and the optional initial spread of block b come from
-independent substreams keyed by (seed, b, stream tag), drawn trial-major, so
-trial i uses row i % NOISE_BLOCK of block i // NOISE_BLOCK. Its values do
-not depend on how blocks are scheduled across threads, and the first N trials
-of a longer run equal a run of N trials: bit for bit on the case-study plant,
-to a few ulp in general, because a block of fewer trials takes another BLAS
-path for its matrix products and a dense plant rounds differently there.
+right. Trials are drawn in blocks of ``NOISE_BLOCK`` and steps in windows of
+``NOISE_WINDOW``: the process and privacy noise of block b over window w come
+from independent substreams keyed by (seed, b, w, stream tag), and the
+optional initial spread of block b from the (seed, b, stream tag) substream,
+each drawn trial-major, so trial i uses row i % NOISE_BLOCK of block
+i // NOISE_BLOCK's draws. Its values do not depend on how blocks are
+scheduled across threads, and the first N trials of a longer run equal a run
+of N trials: bit for bit on the case-study plant, to a few ulp in general,
+because a block of fewer trials takes another BLAS path for its matrix
+products and a dense plant rounds differently there.
 
-Each span of blocks run by one thread gets its noise buffers once, before the
-Riccati solve, so a size that cannot be allocated fails before any work; every
-block of the span refills them. The privacy noise is drawn unscaled and the
-noise scales enter through the gain, v diag(sigma) K_t = v (diag(sigma) K_t),
-folded once per span.
+Each span of blocks run by one thread gets its noise buffers, one window of
+one block, once, before the Riccati solve, so a size that cannot be allocated
+fails before any work; every window of every block of the span refills them.
+A run whose noise, trials x T x (n + q) float64 values, has more bytes than an
+array can address is refused before any work too. The privacy noise is drawn
+unscaled and the noise scales enter through the gain,
+v diag(sigma) K_t = v (diag(sigma) K_t), folded once per span.
 
-A block runs in chunks of ``CHUNK_STEPS`` steps. A step makes only the four
-calls the error recursion feeds back through: post = prior A_t, post -= its
-privacy-noise product, prior' = post H_t, prior' += its process-noise product,
-writing its (prior, post) errors into a chunk buffer. Everything else runs once
+A block runs in chunks of ``CHUNK_STEPS`` steps, none of which crosses the
+edge of a noise window. A step makes only the four calls the error recursion
+feeds back through: post = prior A_t, post -= its privacy-noise product,
+prior' = post H_t, prior' += its process-noise product, writing its (prior,
+post) errors into a chunk buffer. Everything else runs once
 per chunk on buffers allocated once per span: each noise product is one
 stacked matmul over the chunk's steps, whose every slice is the gemm a lone
 step would make on the same strides; the squared errors are one multiply and
@@ -34,16 +39,18 @@ time-major (2, T, trials) output; and each trial's errors past the burn-in are
 added to its sum in time order. With ``paths=True`` the paths are returned as
 ``(trials, T)`` transposed views of the output's two halves, so they are not
 C-contiguous (``np.ascontiguousarray`` gives a C-ordered copy); with
-``paths=False`` no output is allocated, so memory is bounded by one block's
-noise and the chunk buffers instead of trials x T, and the summary has the
-same bits. A trial whose time sum leaves float range while its mean would not
-is stepped again from the same noise, with each square scaled by
-1 / (T - burn-in) before it is added.
+``paths=False`` no output is allocated, so memory is bounded by one window of
+one block's noise and the chunk buffers, whatever trials and T are, and the
+summary has the same bits. A trial whose time sum leaves float range while its
+mean would not is stepped again from the same noise, each window drawn again
+from its keys, with each square scaled by 1 / (T - burn-in) before it is
+added.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +75,16 @@ BURN_IN = 10
 # Trials per noise block: block b holds trials [b * NOISE_BLOCK, (b + 1) *
 # NOISE_BLOCK) and draws from the (seed, b, stream) substreams.
 NOISE_BLOCK = 1024
+
+# Steps per noise window: window w of block b holds steps [w * NOISE_WINDOW,
+# (w + 1) * NOISE_WINDOW) and draws from the (seed, b, w, stream) substreams.
+# Memory is one window of one block, whatever T. Measured on
+# simulate(paths=False) of the 20000 x 200 case-study run, pinned to one vCPU
+# of a 2-vCPU x86_64 VM, median of 5: 0.284 s at 64 steps, 0.290 s at 128 and
+# 0.302 s with the whole horizon in one window (the noise is read back while
+# it is still in cache); 32 (0.272 s) was within the runs' spread of 64 and
+# builds twice the generators, two per window at about 14 us each.
+NOISE_WINDOW = 64
 
 # Steps per chunk of the step kernel (module docstring). Measured on simulate
 # on a 2-vCPU x86_64 VM: against a step at a time, chunks of 8 took about 20 %
@@ -188,14 +205,16 @@ def _run_trials(lo: int, hi: int, w_buf: np.ndarray, v_buf: np.ndarray, sol: Fil
     # columns [lo, hi) of the (2, T, trials) output unless it is None. lo is
     # a multiple of NOISE_BLOCK and so is hi unless it is the trial count, so
     # no block is split between calls. w_buf and v_buf are the span's
-    # (block, T, n) and (block, T, q) noise buffers, refilled by every block.
+    # (block, window, n) and (block, window, q) noise buffers, refilled by
+    # every window of every block.
     system = sol.system
-    A_t, H_t, n = sol.A_t, sol.H_t, system.n
+    A_t, H_t, n, q = sol.A_t, sol.H_t, system.n, system.q
     # the noise scales folded into the gain (module docstring): a (q, n)
     # product per span instead of a pass over every block's privacy noise
     sigma_k_t = sigma[:, None] * sol.K_t
     chol_w_t = np.ascontiguousarray(np.linalg.cholesky(system.W).T)
     S, size = min(CHUNK_STEPS, T), len(w_buf)
+    w_flat, v_flat = w_buf.reshape(-1), v_buf.reshape(-1)
     # the chunk buffers: step j of a chunk reads the prior errors e[j, 0] and
     # writes the posterior errors e[j, 1] and the next prior errors
     # e[j + 1, 0]; dv and dw hold the chunk's noise products, d its squared
@@ -206,11 +225,11 @@ def _run_trials(lo: int, hi: int, w_buf: np.ndarray, v_buf: np.ndarray, sol: Fil
 
     def run_block(m: int, block: int, sums: np.ndarray, paths: np.ndarray | None,
                   scale: float | None) -> None:
-        # Steps the block's m trials, whose noise fills the first m rows of
-        # the buffers, and sets the (2, m) sums to each trial's squared
-        # errors past the burn-in, times scale if it is given, added in time
-        # order; paths is the block's (2, T, m) slice of the output, or None.
-        w, v = w_buf[:m], v_buf[:m]
+        # Steps the block's m trials, drawing their noise one window at a
+        # time into the buffers, and sets the (2, m) sums to each trial's
+        # squared errors past the burn-in, times scale if it is given, added
+        # in time order; paths is the block's (2, T, m) slice of the output,
+        # or None.
         e, d, sq = e_buf[:, :, :m], d_buf[:, :, :m], sq_buf[:, :, :m]
         dv, dw = dv_buf[:, :m], dw_buf[:, :m]
         if x0_factor is None:
@@ -219,12 +238,25 @@ def _run_trials(lo: int, hi: int, w_buf: np.ndarray, v_buf: np.ndarray, sol: Fil
             e[0, 0] = gaussian_generator(seed, trial=block, stream=STREAM_INIT).standard_normal((m, n)) @ x0_factor.T
         steps = [(e[j, 0], e[j, 1], e[j + 1, 0], dv[j], dw[j]) for j in range(S)]
         sums[:] = 0.0
-        for k0 in range(0, T, S):
-            s = min(S, T - k0)
+        k0 = 0
+        while k0 < T:
+            # step k0 is step `at` of its window; a window's first chunk draws
+            # the window into the first m x width x n (q) floats of the
+            # buffers, in C order: the values of standard_normal((m, width,
+            # n)), so trial i's are segment i of the stream whatever m is
+            window, at = divmod(k0, NOISE_WINDOW)
+            if at == 0:
+                width = min(NOISE_WINDOW, T - k0)
+                w = w_flat[:m * width * n].reshape(m, width, n)
+                v = v_flat[:m * width * q].reshape(m, width, q)
+                gaussian_generator(seed, trial=block, stream=STREAM_PROCESS, window=window).standard_normal(out=w)
+                gaussian_generator(seed, trial=block, stream=STREAM_PRIVACY, window=window).standard_normal(out=v)
+            # a chunk ends at the horizon or the window's edge at the latest
+            s = min(S, width - at)
             # slice j of each product is the (m, q) @ (q, n) gemm of step
-            # k0 + j, on the strides of v[:, k0 + j] (w[:, k0 + j])
-            np.matmul(v[:, k0:k0 + s].transpose(1, 0, 2), sigma_k_t, out=dv[:s])
-            np.matmul(w[:, k0:k0 + s].transpose(1, 0, 2), chol_w_t, out=dw[:s])
+            # k0 + j, on the strides of v[:, at + j] (w[:, at + j])
+            np.matmul(v[:, at:at + s].transpose(1, 0, 2), sigma_k_t, out=dv[:s])
+            np.matmul(w[:, at:at + s].transpose(1, 0, 2), chol_w_t, out=dw[:s])
             # np.dot makes the gemm np.matmul would, at less call overhead
             for prior, post, prior_next, dv_j, dw_j in steps[:s]:
                 np.dot(prior, A_t, out=post)
@@ -254,23 +286,21 @@ def _run_trials(lo: int, hi: int, w_buf: np.ndarray, v_buf: np.ndarray, sol: Fil
             with np.errstate(over="ignore"):
                 np.add.reduce(sq[j0:s + 1], axis=0, out=sums)
             np.copyto(e[0, 0], e[s, 0])
+            k0 += s
 
     for start in range(lo, hi, NOISE_BLOCK):
         stop = min(start + NOISE_BLOCK, hi)
         m, block = stop - start, start // NOISE_BLOCK
-        # filling the first m rows in C order draws the same values as
-        # standard_normal((m, T, n)) and standard_normal((m, T, q))
-        gaussian_generator(seed, trial=block, stream=STREAM_PROCESS).standard_normal(out=w_buf[:m])
-        gaussian_generator(seed, trial=block, stream=STREAM_PRIVACY).standard_normal(out=v_buf[:m])
         sums = means[:, start:stop]
         run_block(m, block, sums, None if out is None else out[:, :, start:stop], None)
         sums /= T - burn
         overflowed = ~np.isfinite(sums)
         if overflowed.any():
             # a trial's sum left float range, or its squares did: step the
-            # block again from the same noise, scaling each square by
-            # 1 / (T - burn) before it is added, and keep the means of the
-            # sums that overflowed; the others keep their bits
+            # block again from the same noise, each window drawn again from
+            # its keys, scaling each square by 1 / (T - burn) before it is
+            # added, and keep the means of the sums that overflowed; the
+            # others keep their bits
             scaled = np.empty_like(sums)
             run_block(m, block, scaled, None, 1.0 / (T - burn))
             sums[overflowed] = scaled[overflowed]
@@ -281,14 +311,21 @@ def simulate(config: SimulationConfig, *, threads: int = 1, paths: bool = True) 
 
     ``threads`` controls how trials are chunked across a thread pool and has
     no effect on the output values. With ``paths=False`` the per-step
-    squared errors are reduced to per-trial means one noise block at a time
-    and not kept: the result's ``sq_err_prior`` and ``sq_err_post`` are
-    ``None`` and its summary is the same as with ``paths=True``.
+    squared errors are reduced to per-trial means one noise block at a time,
+    drawn one window at a time, and not kept: the result's ``sq_err_prior``
+    and ``sq_err_post`` are ``None`` and its summary is the same as with
+    ``paths=True``.
     """
     system, sigma = config.resolve()
     T, trials = config.horizon_T, config.trials
     threads = max(1, _as_int(threads, "threads"))
     try:
+        # no more than one window of the noise is held at a time, but a run
+        # whose noise could not be held as one array is refused before any
+        # work, as the paths of such a run would be
+        if 8 * trials * T * (system.n + system.q) > sys.maxsize:
+            raise ValueError("its noise, trials x horizon_T x (n + q) float64 values, "
+                             "has more bytes than an array can address")
         means = np.empty((2, trials))
         out = np.empty((2, T, trials)) if paths else None
         # spans start at block boundaries, so threads never split a noise
@@ -296,8 +333,10 @@ def simulate(config: SimulationConfig, *, threads: int = 1, paths: bool = True) 
         # chunk to 0
         chunk = NOISE_BLOCK * -(-trials // (NOISE_BLOCK * threads))
         spans = [(lo, min(lo + chunk, trials)) for lo in range(0, trials, chunk)]
-        # each span's process- and privacy-noise buffers, one block long
-        buffers = [(np.empty((size, T, system.n)), np.empty((size, T, system.q)))
+        # each span's process- and privacy-noise buffers, one window of one
+        # block long
+        width = min(NOISE_WINDOW, T)
+        buffers = [(np.empty((size, width, system.n)), np.empty((size, width, system.q)))
                    for size in (min(NOISE_BLOCK, hi - lo) for lo, hi in spans)]
     except (ValueError, MemoryError) as exc:  # a size numpy cannot address, or too large to hold
         raise ValidationError(f"trials={trials} x horizon_T={T} cannot be allocated: {exc}") from None

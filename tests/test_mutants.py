@@ -36,3 +36,20 @@ def test_each_min_and_max_call_swaps_alone(tmp_path):
     assert [ast.unparse(ast.parse(source).body[0].body[0].value) for _, _, source in flips] == [
         "max(0, min(x, hi)) + np.max(x) <= 1", "min(0, min(x, hi)) + np.max(x) < 1",
         "max(0, max(x, hi)) + np.max(x) < 1", "max(0, min(x, hi)) + np.min(x) < 1"]
+
+
+def test_each_numeric_constant_nudges_alone(tmp_path):
+    # a module-level int or float literal is doubled and halved, an int by
+    # floor division; a nudge that keeps the value, a bool, a string and a
+    # constant inside a function are not mutants
+    path = tmp_path / "constants.py"
+    path.write_text("TOL = 1e-9\nCAP: int = 5\nZERO = 0\nONE = 1\nON = True\nNAME = 'x'\n\n"
+                    "def f():\n    LOCAL = 3\n    return LOCAL\n")
+    nudges = list(mutants.mutants(path))
+    assert [(line, text) for line, text, _ in nudges] == [
+        (1, "TOL = 2e-09"), (1, "TOL = 5e-10"), (2, "CAP: int = 10"), (2, "CAP: int = 2"),
+        (4, "ONE = 2"), (4, "ONE = 0")]
+    values = [[stmt.value.value for stmt in ast.parse(source).body[:4]] for _, _, source in nudges]
+    assert values == [[2e-9, 5, 0, 1], [5e-10, 5, 0, 1], [1e-9, 10, 0, 1], [1e-9, 2, 0, 1],
+                      [1e-9, 5, 0, 2], [1e-9, 5, 0, 0]]
+    assert all(type(v[1]) is int for v in values)

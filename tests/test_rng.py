@@ -23,6 +23,23 @@ def test_stream_fingerprint(block, stream):
     np.testing.assert_allclose(got, FIRST_DRAWS[(block, stream)], rtol=1e-14, atol=0)
 
 
+# The first draws of the simulate noise windows 0 and 1 of block 0's process
+# stream and block 1's privacy stream under seed 42: the window is the last
+# entry of the spawn key, and a key without one draws as FIRST_DRAWS above.
+WINDOW_DRAWS = {
+    (0, STREAM_PROCESS, 0): [0.11267482024277037, 1.075006437238324, 0.31494070380101263],
+    (0, STREAM_PROCESS, 1): [0.8868375938494774, 0.5660292840830089, 0.9702511448702325],
+    (1, STREAM_PRIVACY, 0): [2.1690516323934457, 0.8752531845369879, 2.6060315876265054],
+    (1, STREAM_PRIVACY, 1): [0.08863909386291234, 0.6258420202136187, -0.7875684522658887],
+}
+
+
+@pytest.mark.parametrize("block,stream,window", list(WINDOW_DRAWS))
+def test_window_fingerprint(block, stream, window):
+    got = gaussian_generator(42, trial=block, stream=stream, window=window).standard_normal(3)
+    np.testing.assert_allclose(got, WINDOW_DRAWS[(block, stream, window)], rtol=1e-14, atol=0)
+
+
 def test_privatize_fingerprint():
     # stream index 3 of seed 42, scaled per channel by sigma = (1, 2)
     got = privatize(np.zeros((4, 2)), [1.0, 2.0], rng_seed=42, stream_index=3)

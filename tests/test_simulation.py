@@ -212,13 +212,30 @@ def _reference_plant(n, radius):
                        x0_hat=rng.normal(size=n))
 
 
+# The noise keying simulate documents, written out rather than imported so
+# that a change of simulation.NOISE_BLOCK or simulation.NOISE_WINDOW fails the
+# tests that draw noise by hand: trial i's process and privacy noise over steps
+# [64 w, 64 (w + 1)) is row i % 1024 of the trial-major draws of the
+# (seed, i // 1024, w, stream) substream.
+BLOCK, WINDOW = 1024, 64
+
+
+def trial_noise(seed, trial, stream, T, width):
+    """Trial ``trial``'s ``(T, width)`` noise of ``stream``, one window at a time."""
+    block, row = divmod(trial, BLOCK)
+    return np.concatenate([
+        gaussian_generator(seed, trial=block, stream=stream, window=k // WINDOW)
+        .standard_normal((row + 1, min(WINDOW, T - k), width))[row] for k in range(0, T, WINDOW)])
+
+
 def reference_means(config, out=None):
     """The per-trial means of ``config``, stepped one step at a time.
 
     The step loop of the engine before it ran in chunks: per noise block,
     per step, the two noise products, the squared errors added left to
-    right, and each trial's sum past the burn-in in time order. Fills the
-    ``(2, T, trials)`` ``out`` with the squared errors if it is given.
+    right, and each trial's sum past the burn-in in time order. Each window's
+    noise is drawn at its first step. Fills the ``(2, T, trials)`` ``out``
+    with the squared errors if it is given.
     """
     system, sigma = config.resolve()
     sol = solve_filter(system, sigma)
@@ -227,10 +244,8 @@ def reference_means(config, out=None):
     sigma_k_t = sigma[:, None] * sol.K_t
     chol_w_t = np.ascontiguousarray(np.linalg.cholesky(system.W).T)
     means = np.empty((2, trials))
-    for start in range(0, trials, NOISE_BLOCK):
-        m, block = min(NOISE_BLOCK, trials - start), start // NOISE_BLOCK
-        w = gaussian_generator(seed, trial=block, stream=STREAM_PROCESS).standard_normal((m, T, n))
-        v = gaussian_generator(seed, trial=block, stream=STREAM_PRIVACY).standard_normal((m, T, system.q))
+    for start in range(0, trials, BLOCK):
+        m, block = min(BLOCK, trials - start), start // BLOCK
         prior, post = e = np.empty((2, m, n))
         if config.x0_cov is None:
             prior[:] = 0.0
@@ -240,8 +255,14 @@ def reference_means(config, out=None):
         sums = means[:, start:start + m]
         sums[:] = 0.0
         for k in range(T):
+            if k % WINDOW == 0:
+                width = min(WINDOW, T - k)
+                w = gaussian_generator(seed, trial=block, stream=STREAM_PROCESS,
+                                       window=k // WINDOW).standard_normal((m, width, n))
+                v = gaussian_generator(seed, trial=block, stream=STREAM_PRIVACY,
+                                       window=k // WINDOW).standard_normal((m, width, system.q))
             np.matmul(prior, sol.A_t, out=post)
-            post -= v[:, k] @ sigma_k_t
+            post -= v[:, k % WINDOW] @ sigma_k_t
             d = e * e
             sq = d[..., 0].copy()
             for c in range(1, n):
@@ -252,16 +273,17 @@ def reference_means(config, out=None):
                 with np.errstate(over="ignore"):
                     sums += sq
             np.matmul(post, sol.H_t, out=prior)
-            prior += w[:, k] @ chol_w_t
+            prior += w[:, k % WINDOW] @ chol_w_t
         sums /= T - burn
     return means
 
 
 class TestReferenceLoop:
-    # horizons that end on, just past and inside a chunk, and burn-ins that
-    # end inside one
+    # horizons that end on, just past and inside a chunk, burn-ins that end
+    # inside one, and horizons that end just before, on and past the edge of
+    # a noise window, two windows and a partial third
     HORIZONS = (1, 2, CHUNK_STEPS - 1, CHUNK_STEPS, CHUNK_STEPS + 1, BURN_IN, BURN_IN + 1,
-                2 * CHUNK_STEPS + 1, 5 * CHUNK_STEPS)
+                2 * CHUNK_STEPS + 1, 5 * CHUNK_STEPS, WINDOW - 1, WINDOW, WINDOW + 1, 2 * WINDOW + 1, 200)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("radius", [0.6, 1.05])
@@ -269,7 +291,7 @@ class TestReferenceLoop:
         system = _reference_plant(n, radius)
         privacy = PrivacyConfig.for_system(system, epsilon=1.0, delta=0.001, adjacency_B=1.0)
         for T in self.HORIZONS:
-            for trials in (9, NOISE_BLOCK + 1):
+            for trials in (9, BLOCK + 1):
                 for x0_cov in (None, 4.0 * np.eye(n)):
                     config = SimulationConfig(system=system, privacy=privacy, horizon_T=T, trials=trials,
                                               seed=T, x0_cov=x0_cov)
@@ -353,7 +375,7 @@ class TestWriteCsv:
         path = tmp_path / "out.csv"
         write_csv(res, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "58a8894ed4d30db5c790fda34484cc30591733ebaf7e3a41826b471bc111655b"
+        assert digest == "c8619d41455ee52a0cbcfd2e91492364ce3dfef09725dc1b67404c0d1062a95f"
 
 
 _SIZES = st.one_of(st.integers(1, 3), st.booleans(), st.floats(allow_nan=True, allow_infinity=True),
@@ -425,6 +447,29 @@ class TestStatistics:
         assert res.summary.mean_sq_err_prior == pytest.approx(tr_prior, rel=0.02)
         assert res.summary.mean_sq_err_post == pytest.approx(tr_post, rel=0.02)
 
+    def test_slow_plant_mean_follows_the_exact_transient_across_windows(self):
+        # H = 0.999 at epsilon = 0.1: the prior error forgets its start over
+        # about 300 steps, so T = 1000 spans 16 noise windows inside one
+        # transient, whose exact mean is 6.7 standard errors below the steady
+        # state's; the prior-error covariance of the fixed-gain filter is
+        # P_{k+1} = F P_k F^T + W + H K V K^T H^T with P_0 = 0 and
+        # F = H (I - K C) (Anderson & Moore, ch. 4). An error reset, or noise
+        # reused, at a window edge moves the mean far from it.
+        system = SystemModel(H=[[0.999]], C=[[1.0]], W=[[0.01]], x0_hat=[0.0])
+        privacy = PrivacyConfig.for_system(system, epsilon=0.1, delta=1e-3, adjacency_B=1.0)
+        T = 1000
+        res = simulate(SimulationConfig(system=system, privacy=privacy, horizon_T=T, trials=1024, seed=5),
+                       paths=False)
+        H, C, K = system.H, system.C, res.solution.riccati.gain
+        F = H @ (np.eye(1) - K @ C)
+        drive = system.W + H @ K @ np.diag(privacy.sigma**2) @ K.T @ H.T
+        P, traces = np.zeros((1, 1)), []
+        for _ in range(T):
+            traces.append(np.trace(P))
+            P = F @ P @ F.T + drive
+        s = res.summary
+        assert abs(s.mean_sq_err_prior - np.mean(traces[s.burn_in:])) <= 5 * s.stderr_sq_err_prior
+
     def test_matches_reference_simulator(self):
         # the engine and the plain-loop reference use different RNG streams,
         # so only the distributions must agree
@@ -446,9 +491,8 @@ class TestFilterWiring:
         cfg = case_config(trials=3, horizon=T, seed=seed)
         res = simulate(cfg)
         system, sigma = cfg.system, cfg.privacy.sigma
-        w = gaussian_generator(seed, trial=0, stream=STREAM_PROCESS).standard_normal((T, 2))
-        w = w @ np.linalg.cholesky(system.W).T
-        v = gaussian_generator(seed, trial=0, stream=STREAM_PRIVACY).standard_normal((T, 2)) * sigma
+        w = trial_noise(seed, 0, STREAM_PROCESS, T, 2) @ np.linalg.cholesky(system.W).T
+        v = trial_noise(seed, 0, STREAM_PRIVACY, T, 2) * sigma
         x = np.empty((T, 2))
         x[0] = system.x0_hat
         for k in range(T - 1):
@@ -475,10 +519,8 @@ class TestFilterWiring:
         system, ld = cfg.system, np.longdouble
         H, C, K = (np.asarray(a, dtype=ld) for a in (system.H, system.C, res.solution.riccati.gain))
         chol_w = np.asarray(np.linalg.cholesky(system.W), dtype=ld)
-        z = gaussian_generator(seed, trial=0, stream=STREAM_PROCESS).standard_normal((T, 2))
-        w = z.astype(ld) @ chol_w.T
-        z = gaussian_generator(seed, trial=0, stream=STREAM_PRIVACY).standard_normal((T, 2))
-        v = z.astype(ld) * cfg.privacy.sigma.astype(ld)
+        w = trial_noise(seed, 0, STREAM_PROCESS, T, 2).astype(ld) @ chol_w.T
+        v = trial_noise(seed, 0, STREAM_PRIVACY, T, 2).astype(ld) * cfg.privacy.sigma.astype(ld)
         x = np.asarray(system.x0_hat, dtype=ld)
         p = x.copy()
         prior, post = np.empty(T, dtype=ld), np.empty(T, dtype=ld)
@@ -496,24 +538,18 @@ class TestFilterWiring:
         pytest.param(dense_config, 5, id="dense-n16-row-5-of-block-0"),
         pytest.param(dense_config, NOISE_BLOCK, id="dense-n16-row-0-of-block-1"),
     ])
-    def test_trial_is_its_row_of_the_block_stream(self, make_config, trial):
-        # trial i draws row i % NOISE_BLOCK of block i // NOISE_BLOCK's
-        # trial-major (trials, T, n) streams; the run has trial + 1 trials, so
-        # row 0 of block 1 is a block of one trial
-        seed, T = 13, 40
+    def test_trial_is_its_row_of_its_blocks_window_streams(self, make_config, trial):
+        # trial i draws row i % 1024 of each of block i // 1024's trial-major
+        # (trials, 64, n) window streams, the last window cut to the horizon;
+        # the run has trial + 1 trials, so row 0 of block 1 is a block of one
+        # trial
+        seed, T = 13, 150
         cfg = make_config(trials=trial + 1, horizon=T, seed=seed)
         res = simulate(cfg)
         system, sigma = cfg.system, cfg.privacy.sigma
-        n, q = system.n, system.q
-        block, row = divmod(trial, NOISE_BLOCK)
-
-        def draw(stream, width):
-            gen = gaussian_generator(seed, trial=block, stream=stream)
-            return gen.standard_normal((row + 1, T, width))[row]
-
-        w = draw(STREAM_PROCESS, n) @ np.linalg.cholesky(system.W).T
-        v = draw(STREAM_PRIVACY, q) * sigma
-        x = np.empty((T, n))
+        w = trial_noise(seed, trial, STREAM_PROCESS, T, system.n) @ np.linalg.cholesky(system.W).T
+        v = trial_noise(seed, trial, STREAM_PRIVACY, T, system.q) * sigma
+        x = np.empty((T, system.n))
         x[0] = system.x0_hat
         for k in range(T - 1):
             x[k + 1] = system.H @ x[k] + w[k]
@@ -561,6 +597,21 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert peak < 12 * 2**20
+
+    def test_summary_without_paths_holds_one_window(self):
+        # a whole block's noise would take 126 MiB at T = 4000, against
+        # 6.3 MiB at T = 200; one 64-step window of it takes 2 MiB at both.
+        # A first run in the process also holds what it imports and caches.
+        simulate(case_config(trials=1, horizon=1), paths=False)
+        peaks = []
+        for T in (200, 4000):
+            tracemalloc.start()
+            try:
+                simulate(case_config(trials=1024, horizon=T), paths=False)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 2**20
 
 
 class TestGaussianInitialSpread:
