@@ -13,9 +13,12 @@ halved, an int by floor division so that it stays an int; a nudge that leaves
 the value as it was is not a mutant. Each mutant runs
 ``python -m pytest -x -q tests`` in a copy of the checkout in a temporary
 directory, strictly one process at a time; the checkout itself is not edited.
-A mutant that no test fails survives. The mutants in ``EQUIVALENT`` are not
-run: each changes nothing that an input can reach, for the reason given beside
-it.
+The unmutated suite runs there first: if it fails, no mutant can be told
+apart, and the run stops with exit 2 before any mutant. A mutant that no test
+fails survives; one whose tests run ``TIMEOUT_FACTOR`` times as long as the
+unmutated suite did is taken as killed (a loop that no longer ends). The
+mutants in ``EQUIVALENT`` are not run: each changes nothing that an input can
+reach, for the reason given beside it.
 
 Prints one line per mutant as ``file:line  mutated expression  killed|SURVIVED``
 and then the survivors; exits 1 if any mutant survives. A whole-package run
@@ -32,6 +35,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,8 +43,9 @@ PACKAGE = Path("src", "dpkalman")
 FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 SWAP = {"min": "max", "max": "min"}
 NUDGE = 2
-# a mutant whose tests run this long is taken as killed (a loop that no longer ends)
-TIMEOUT_S = 900
+# a mutant whose tests run this many times as long as the unmutated suite's
+# is taken as killed (a loop that no longer ends)
+TIMEOUT_FACTOR = 5
 
 # (file, expression after the mutation): why no reachable input tells it
 # apart; an entry covers every site of the file whose mutant reads the same
@@ -119,18 +124,23 @@ def mutants(path: Path):
                 node.ops[i] = op
 
 
-def survives(copy: Path, target: Path, source: str) -> bool:
-    """Whether ``tests`` pass in ``copy`` with ``target`` holding ``source``."""
-    original = target.read_text(encoding="utf-8")
-    target.write_text(source, encoding="utf-8")
+def passes(copy: Path, timeout: float | None = None) -> bool:
+    """Whether ``tests`` pass in ``copy``; ``TimeoutExpired`` after ``timeout`` seconds."""
     # no bytecode: two mutants of one size written within a second would
     # otherwise share a cached .pyc
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
+                          cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                          timeout=timeout)
+    return proc.returncode == 0
+
+
+def survives(copy: Path, target: Path, source: str, timeout: float) -> bool:
+    """Whether ``tests`` pass in ``copy`` within ``timeout`` seconds with ``target`` holding ``source``."""
+    original = target.read_text(encoding="utf-8")
+    target.write_text(source, encoding="utf-8")
     try:
-        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
-                              cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                              timeout=TIMEOUT_S)
-        return proc.returncode == 0
+        return passes(copy, timeout)
     except subprocess.TimeoutExpired:
         return False
     finally:
@@ -146,12 +156,17 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         copy = Path(tmp, "checkout")
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".hypothesis"))
+        start = time.monotonic()
+        if not passes(copy):
+            print("the unmutated suite fails in the copy, so no mutant can be told apart", file=sys.stderr)
+            return 2
+        timeout = TIMEOUT_FACTOR * (time.monotonic() - start)
         for path in files:
             for line, text, source in mutants(path):
                 if (path.name, text) in EQUIVALENT:
                     continue
                 site = f"{path.name}:{line}  {text}"
-                alive = survives(copy, copy / PACKAGE / path.name, source)
+                alive = survives(copy, copy / PACKAGE / path.name, source, timeout)
                 print(f"{site}  {'SURVIVED' if alive else 'killed'}", flush=True)
                 if alive:
                     survivors.append(site)

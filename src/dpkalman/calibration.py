@@ -114,9 +114,9 @@ def _calibrate(system: SystemModel, target: CalibrationTarget, kind: str) -> Eps
     # Both trace bounds read offset + scale * s with s0 <= s <= s1, so each
     # target maps to per-dimension targets b = (B - offset) / scale and
     # inverts through the same etas; a target is admissible iff
-    # 0 < b_l < lambda_min(W). Each output-map entry is divided by the
-    # sensitivity, which scales with it, before it multiplies anything, so no
-    # output map or radius in float range overflows or underflows here.
+    # 0 < b_l < lambda_min(W). r_u = s_1(C) and r_l = s_n(C) at unit scales are
+    # divided by the sensitivity, which scales with C, before they multiply
+    # anything, so no output map or radius in float range over- or underflows.
     if target.kind != kind:
         raise InvalidTargetError(f"target kind is {target.kind!r}, expected '{kind}'")
     sens = _sensitivity_for(system, target)
@@ -137,8 +137,8 @@ def _calibrate(system: SystemModel, target: CalibrationTarget, kind: str) -> Eps
             f"B_l = {target.B_l} must stay below {reach} = {offset + scale * lam_min_w}"
         )
     # eta_lo drives eps_max (lower target bound), eta_hi drives eps_min
-    eta_lo = math.sqrt(b_l * lam_min_w / (lam_min_w - b_l)) * (abs(window["c_u"]) / sens)
-    eta_hi = math.sqrt(b_u) * (abs(window["c_l"]) / sens)
+    eta_lo = math.sqrt(b_l * lam_min_w / (lam_min_w - b_l)) * (window["r_u"] / sens)
+    eta_hi = math.sqrt(b_u) * (window["r_l"] / sens)
     eps_min = _epsilon_floor(eta_hi)
     eps_max = math.inf if eta_lo == 0.0 else 1.0 / eta_lo
     # the noise at each end; gaussian_sigma gives 0 at an infinite epsilon,

@@ -28,7 +28,6 @@ from .errors import (
     EXIT_INFEASIBLE,
     EXIT_OK,
     EXIT_VALIDATION,
-    NotDiagonalError,
 )
 from .filtering import solve_filter
 from .linalg import solve_dare  # noqa: F401 (bench/test_bench.py looks it up here)
@@ -222,13 +221,8 @@ def _cmd_compose(args, config) -> int:
             for agent, (a, b) in zip(network.agents, network.offsets)
         ],
         "riccati": _riccati_summary(sol.riccati),
+        "bounds": all_bounds(network.system, network.sigma),
     }
-    try:
-        doc["bounds"] = all_bounds(network.system, network.sigma)
-    except NotDiagonalError as exc:
-        # network-level bounds need a diagonal composed C; the per-agent
-        # report stands
-        print(f"note: no network-level bounds: {exc}", file=sys.stderr)
     _emit(doc, args.json)
     return EXIT_OK
 

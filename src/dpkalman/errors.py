@@ -24,10 +24,6 @@ class NonSymmetricError(ValidationError):
     """A matrix required to be symmetric is not, beyond tolerance."""
 
 
-class NotDiagonalError(ValidationError):
-    """The output matrix must be square and diagonal for this operation."""
-
-
 class NonPositiveSigmaError(ValidationError):
     """Noise scales must be strictly positive here."""
 

@@ -31,13 +31,14 @@ estimates then follow in one product.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError
-from .linalg import RiccatiSolution, SystemModel, _as_instance, _freeze, as_matrix, as_vector, solve_dare
+from .errors import DimensionMismatchError, SingularMatrixError
+from .linalg import (RiccatiSolution, SystemModel, _as_instance, _freeze, _require_observable, as_matrix,
+                     as_vector, solve_dare)
 
 # Steps per window of run_filter's scan; a power of two, for _powers. Longer
 # windows mean fewer window ends but more in-window steps and a wider carry
@@ -116,15 +117,26 @@ class FilterSolution:
 def solve_filter(system: SystemModel, sigma) -> FilterSolution:
     """Solve the steady state for per-channel noise scales ``sigma``.
 
-    The one place that builds the privacy-noise covariance V = diag(sigma_i^2)
-    for the Riccati solver. A variance past float range makes V infinite,
-    with no overflow warning, and a zero scale makes V singular;
-    :func:`~dpkalman.linalg.solve_dare` rejects both.
+    The scales enter only through the whitened map C~ = diag(sigma)^-1 C: the
+    solution of (H, C~, W) with unit noise, its gain's column i divided by
+    sigma_i, is that of V = diag(sigma_i^2), and no sigma_i^2 is formed. A scale
+    so small (or zero) that C~^T C~ or the gain passes float range is a singular
+    noise covariance, raised after the observability test as by ``solve_dare``.
     """
     sigma = as_vector(sigma, "sigma", length=system.q)
-    with np.errstate(over="ignore"):
-        V = np.diag(np.square(sigma))
-    return FilterSolution(system=system, riccati=solve_dare(system, V))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        C = system.C / sigma[:, None]
+        singular = not np.all(np.isfinite(C.T @ C))
+    if not singular:
+        riccati = solve_dare(replace(system, C=C), np.eye(system.q))
+        with np.errstate(over="ignore"):
+            gain = riccati.gain / sigma
+        singular = not np.all(np.isfinite(gain))
+    if singular:
+        _require_observable(system)
+        raise SingularMatrixError("the noise covariance is singular: a noise scale is zero, or so small "
+                                  "that (C / sigma)^T (C / sigma) or the filter gain passes float range")
+    return FilterSolution(system=system, riccati=replace(riccati, gain=gain))
 
 
 def _powers(F_t: np.ndarray, m: int) -> np.ndarray:

@@ -218,7 +218,8 @@ class RiccatiSolution:
 
     ``sigma`` is the prediction (a priori) error covariance, ``sigma_bar``
     the estimation (a posteriori) error covariance, and ``gain`` the constant
-    filter gain ``sigma_bar C^T V^-1``.
+    filter gain ``sigma_bar C^T V^-1`` of the plant itself, V = diag(s^2), also
+    when :func:`~dpkalman.filtering.solve_filter` solves on diag(s)^-1 C, V = I.
     """
 
     sigma: np.ndarray
@@ -241,10 +242,21 @@ def _require_invertible_spd(M: np.ndarray, name: str) -> None:
         )
 
 
+def _require_observable(system: SystemModel) -> None:
+    # each output row at a largest entry of 1: observability ignores a channel's (noise) scale
+    top = np.max(np.abs(system.C), axis=1, keepdims=True)
+    if not observability_check(system.H, system.C / np.where(top > 0.0, top, 1.0)):
+        raise NotDetectableError("the pair (H, C) is not observable; the filter has no steady state")
+
+
 def _posterior(sigma: np.ndarray, info: np.ndarray) -> np.ndarray:
     # (sigma^-1 + info)^-1 with info = C^T V^-1 C, not symmetrized; inv runs
-    # the same LAPACK gesv on the identity as solve(., eye)
-    return np.linalg.inv(np.linalg.inv(sigma) + info)
+    # the same LAPACK gesv on the identity as solve(., eye), and an
+    # information spread over float range can leave the sum singular
+    try:
+        return np.linalg.inv(np.linalg.inv(sigma) + info)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("sigma^-1 + C^T V^-1 C is singular to working precision") from None
 
 
 def _in_float_range(reduce, x: np.ndarray, value: float) -> float:
@@ -293,8 +305,7 @@ def solve_dare(system: SystemModel, V) -> RiccatiSolution:
     V = require_symmetric(as_matrix(V, "V"), "V")
     if V.shape != (system.q, system.q):
         raise DimensionMismatchError(f"V must be {system.q}x{system.q}, got shape {V.shape}")
-    if not observability_check(system.H, system.C):
-        raise NotDetectableError("the pair (H, C) is not observable; the filter has no steady state")
+    _require_observable(system)
     _require_invertible_spd(V, "V")
 
     H, W = system.H, system.W

@@ -22,8 +22,8 @@ from dpkalman import (
     apriori_trace_bounds,
     solve_dare,
 )
-from dpkalman.bounds import DIAGONALITY_RTOL, channel_extremes, to_json
-from dpkalman.errors import NonPositiveSigmaError, NotDiagonalError
+from dpkalman.bounds import to_json
+from dpkalman.errors import NonPositiveSigmaError
 from helpers import case_study_system, extreme_magnitude, random_diagonal_system
 
 SIGMA_CASE = 2.966281680892255
@@ -49,46 +49,40 @@ def wide_plants(seed, count=50):
         yield SystemModel(H=H, C=np.diag(c), W=(W + W.T) / 2, x0_hat=np.zeros(n)), sigma
 
 
-class TestChannelExtremes:
-    def test_tie_breaks_to_lowest_index(self):
-        ext = channel_extremes(np.eye(2), np.array([3.0, 3.0]))
-        assert ext.l == 0 and ext.u == 0
-        assert ext.c_l == 1.0 and ext.sigma_l == 3.0
+def dense_map_plants(seed, count=40):
+    """Seeded plants with a dense C of n - 1 to n + 2 rows, and their noise
+    scales: n up to 6, spectral radius up to 1.3, C scaled 1e-2 to 1e2."""
+    rng = np.random.default_rng(9400 + seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        q = int(rng.integers(n - 1, n + 3))
+        H = rng.normal(size=(n, n))
+        H *= rng.uniform(0.0, 1.3) / max(np.max(np.abs(np.linalg.eigvals(H))), 1e-12)
+        body = rng.normal(size=(n, n))
+        W = body @ body.T / n + np.diag(rng.uniform(0.1, 2.0, size=n))
+        C = rng.normal(size=(q, n)) * 10.0 ** rng.uniform(-2, 2)
+        yield SystemModel(H=H, C=C, W=W, x0_hat=np.zeros(n)), rng.uniform(0.1, 10.0, size=q)
 
-    def test_two_channel(self):
-        ext = channel_extremes(np.diag([1.0, 2.0]), np.array([1.0, 4.0]))
-        assert (ext.l, ext.u) == (1, 0)
 
-    def test_three_channel(self):
-        ext = channel_extremes(np.diag([2.0, 3.0, 1.0]), np.array([1.0, 1.0, 2.0]))
-        assert (ext.l, ext.u) == (2, 1)
-        assert ext.c_l == 1.0 and ext.sigma_l == 2.0
-        assert ext.c_u == 3.0 and ext.sigma_u == 1.0
-
-    def test_rejects_off_diagonal(self):
-        with pytest.raises(NotDiagonalError):
-            channel_extremes(np.array([[1.0, 0.1], [0.0, 1.0]]), np.ones(2))
-
-    def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(NonPositiveSigmaError):
-            channel_extremes(np.eye(2), np.array([1.0, 0.0]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(NotDiagonalError, match="must be square and diagonal"):
-            channel_extremes(np.ones((1, 2)), np.ones(1))
-
-    def test_off_diagonal_at_the_tolerance_rejected(self):
-        # off-diagonal entries count from DIAGONALITY_RTOL * max |C_ii| up;
-        # one step below it they are rounding noise
-        with pytest.raises(NotDiagonalError, match="must be diagonal"):
-            channel_extremes(np.array([[1.0, DIAGONALITY_RTOL], [0.0, 1.0]]), np.ones(2))
-        below = math.nextafter(DIAGONALITY_RTOL, 0.0)
-        assert channel_extremes(np.array([[1.0, below], [0.0, 2.0]]), np.ones(2)).u == 1
-
-    def test_off_diagonal_tolerance_scales_with_the_largest_entry(self):
-        # 1e-8 is below DIAGONALITY_RTOL times the largest |C_ii| (1e6), though
-        # not below it times the smallest (1)
-        assert channel_extremes(np.array([[1e6, 1e-8], [0.0, 1.0]]), np.ones(2)).u == 0
+def assert_reports_contain_scipy(system, sigma):
+    """Check that every report of ``all_bounds`` holds scipy's value, and return
+    the reports. The prediction covariance is scipy's, the estimation
+    covariance its information form; a report that is not applicable has no
+    upper end."""
+    C = system.C
+    prior = solve_discrete_are(system.H.T, C.T, system.W, np.diag(sigma**2))
+    post = np.linalg.inv(np.linalg.inv(prior) + C.T @ np.diag(sigma**-2.0) @ C)
+    exact = {APRIORI_TRACE: np.trace(prior), APOSTERIORI_TRACE: np.trace(post),
+             APRIORI_LOGDET: np.linalg.slogdet(prior)[1],
+             APOSTERIORI_LOGDET: np.linalg.slogdet(post)[1]}
+    reports = all_bounds(system, sigma)
+    for kind, rep in reports.items():
+        slack = 1e-9 * max(1.0, abs(exact[kind]))
+        assert rep.lower <= exact[kind] + slack, kind
+        assert (rep.upper is None) == (not rep.applicable), kind
+        if rep.applicable:
+            assert exact[kind] <= rep.upper + slack, kind
+    return reports
 
 
 class TestAprioriTrace:
@@ -236,16 +230,50 @@ class TestReportShape:
         assert all(math.isfinite(v) for v in rep.intermediates.values())
 
     def test_one_window_per_call(self, monkeypatch):
-        # all four reports come from one channel_extremes and one eigvalsh(W)
+        # all four reports come from one SVD of the whitened map and one eigvalsh(W)
         system = case_study_system()
         calls = []
-        extremes, eigvalsh = dpkalman.bounds.channel_extremes, np.linalg.eigvalsh
-        monkeypatch.setattr(dpkalman.bounds, "channel_extremes",
-                            lambda *a: calls.append("channel_extremes") or extremes(*a))
+        extremes, eigvalsh = dpkalman.bounds._whitened_extremes, np.linalg.eigvalsh
+        monkeypatch.setattr(dpkalman.bounds, "_whitened_extremes",
+                            lambda *a: calls.append("whitened") or extremes(*a))
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append("eigvalsh") or eigvalsh(*a))
         reports = all_bounds(system, np.full(2, SIGMA_CASE))
-        assert sorted(calls) == ["channel_extremes", "eigvalsh"]
+        assert sorted(calls) == ["eigvalsh", "whitened"]
         assert list(reports) == [APRIORI_TRACE, APOSTERIORI_TRACE, APRIORI_LOGDET, APOSTERIORI_LOGDET]
+
+    def test_rejects_nonpositive_sigma(self):
+        with pytest.raises(NonPositiveSigmaError):
+            all_bounds(case_study_system(), np.array([1.0, 0.0]))
+
+
+class TestWhitenedMap:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_diagonal_map_reads_the_extreme_ratios(self, seed):
+        # for a square diagonal C the extreme singular values of C / sigma
+        # are the extreme ratios |C_ii / sigma_i|, to an ulp of the SVD, so
+        # the window is the paper's
+        for system, sigma in wide_plants(seed):
+            ratios = np.abs(np.diag(system.C) / sigma)
+            per_dim = all_bounds(system, sigma)[APOSTERIORI_TRACE].intermediates
+            assert (per_dim["r_u"], per_dim["r_l"]) == pytest.approx((ratios.max(), ratios.min()), rel=1e-15)
+
+    def test_a_silent_channel_scale_does_not_matter(self):
+        # C_22 = 0: the scale of that channel, here a subnormal one, sets no
+        # power of two for the SVD, so the live channel keeps its ratio 1e-10
+        system = SystemModel(H=case_study_system().H, C=np.diag([1.0, 0.0]), W=10.0 * np.eye(2),
+                             x0_hat=np.zeros(2))
+        reports = all_bounds(system, np.array([1e10, 1e-320]))
+        assert reports[APOSTERIORI_TRACE].intermediates["r_u"] == 1e-10
+        assert {k: r.to_dict() for k, r in reports.items()} == {
+            k: r.to_dict() for k, r in all_bounds(system, np.array([1e10, 1.0])).items()}
+
+    def test_ratio_past_float_range(self):
+        # C_11 / sigma_1 = 1e320 is past float range: r_u reads inf and
+        # s0 = 0, while the weak channel keeps its finite s1 = 1 / r_l^2
+        reports = all_bounds(case_study_system(), np.array([1e-320, 2.0]))
+        post = reports[APOSTERIORI_TRACE]
+        assert post.intermediates["r_u"] == math.inf and post.intermediates["r_l"] == 0.5
+        assert (post.lower, post.upper) == (0.0, 8.0)
 
 
 class TestJsonRule:
@@ -315,21 +343,18 @@ class TestContainmentProperties:
 
     @pytest.mark.parametrize("seed", range(40))
     def test_every_report_contains_the_exact_value_over_a_wide_plant_range(self, seed):
-        # scipy's prediction covariance and the estimation covariance in
-        # information form; a report that is not applicable has no upper end
         for system, sigma in wide_plants(seed):
-            C = system.C
-            prior = solve_discrete_are(system.H.T, C.T, system.W, np.diag(sigma**2))
-            post = np.linalg.inv(np.linalg.inv(prior) + C.T @ np.diag(sigma**-2.0) @ C)
-            exact = {APRIORI_TRACE: np.trace(prior), APOSTERIORI_TRACE: np.trace(post),
-                     APRIORI_LOGDET: np.linalg.slogdet(prior)[1],
-                     APOSTERIORI_LOGDET: np.linalg.slogdet(post)[1]}
-            for kind, rep in all_bounds(system, sigma).items():
-                slack = 1e-9 * max(1.0, abs(exact[kind]))
-                assert rep.lower <= exact[kind] + slack, kind
-                assert (rep.upper is None) == (not rep.applicable), kind
-                if rep.applicable:
-                    assert exact[kind] <= rep.upper + slack, kind
+            assert_reports_contain_scipy(system, sigma)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_every_report_contains_the_exact_value_for_a_dense_output_map(self, seed):
+        # fewer channels than states leave no upper end on the estimation
+        # error (s1 = inf); a dense C has no per-channel eta, so the a-priori
+        # log-det report keeps its lower bound alone
+        for system, sigma in dense_map_plants(seed):
+            reports = assert_reports_contain_scipy(system, sigma)
+            assert (reports[APOSTERIORI_TRACE].upper == math.inf) == (system.q < system.n)
+            assert not reports[APRIORI_LOGDET].applicable
 
     @pytest.mark.parametrize("seed", range(8))
     def test_scaling_noise_widens_aposteriori_bounds(self, seed):

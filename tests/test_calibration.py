@@ -5,6 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_discrete_are
 
 import dpkalman.linalg
 from dpkalman import CalibrationTarget, SystemModel, calibrate_aposteriori, calibrate_apriori, verify_calibration
@@ -300,3 +301,40 @@ class TestDocumentedBoundaries:
         assert interval.eps_max == 0.0 and interval.sigma_at_eps_max == math.inf
         assert not interval.feasible
         assert interval.to_dict()["sigma_at_eps_max"] is None
+
+
+class TestAnyOutputMap:
+    # the window reads C only through its extreme singular values, so a
+    # rotated C = R D R^T calibrates as its diagonal D
+    @pytest.mark.parametrize("kind,B_l,B_u", [(APRIORI, 3.2, 300.0), (APOSTERIORI, 0.1, 1000.0)])
+    def test_rotated_map_calibrates_as_its_diagonal(self, kind, B_l, B_u):
+        angle = 0.7
+        R = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        D = np.diag([0.5, 2.0])
+        H, W = np.array([[0.9, 0.2], [0.0, 0.5]]), np.diag([1.0, 2.0])
+        t = target(kind, B_l, B_u)
+        diagonal = CALIBRATORS[kind](SystemModel(H=H, C=D, W=W, x0_hat=np.zeros(2)), t)
+        rotated = SystemModel(H=H, C=R @ D @ R.T, W=W, x0_hat=np.zeros(2))
+        interval = CALIBRATORS[kind](rotated, t)
+        assert interval.feasible
+        assert interval.eps_min == pytest.approx(diagonal.eps_min, rel=1e-12)
+        assert interval.eps_max == pytest.approx(diagonal.eps_max, rel=1e-12)
+        for eps in (interval.eps_min, interval.eps_max):
+            assert verify_calibration(rotated, t, eps).within_bounds
+
+
+class TestVerificationScale:
+    def test_achieved_trace_independent_of_the_output_scale(self):
+        # C = c scales the calibrated sigma with it, so the solve sees one
+        # whitened map C / sigma for every c, though sigma^2 is subnormal at
+        # c = 1e-160 and past float range at c = 1e160
+        t = target(APRIORI, 1.1, 10.0)
+        traces = []
+        for c in (1e-160, 1.0, 1e100, 1e160):
+            system = scalar_system(c=c)
+            interval = calibrate_apriori(system, t)
+            report = verify_calibration(system, t, 0.5 * (interval.eps_min + interval.eps_max))
+            exact = solve_discrete_are([[0.5]], [[c / report.sigma]], [[1.0]], [[1.0]])[0, 0]
+            assert report.achieved_trace == pytest.approx(exact, rel=1e-12), c
+            traces.append(report.achieved_trace)
+        assert traces == pytest.approx([traces[1]] * 4, rel=1e-12)

@@ -8,12 +8,14 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import solve_discrete_are
 
 import dpkalman
 import dpkalman.cli
@@ -26,6 +28,20 @@ from dpkalman.privacy import noise_scales
 from helpers import extreme_magnitude
 
 LN3 = math.log(3.0)
+
+
+def contains_scipy(system, sigma, reports) -> bool:
+    """Whether each report's window in ``reports`` (JSON) holds scipy's value;
+    an inapplicable report has no upper end."""
+    prior = solve_discrete_are(system.H.T, system.C.T, system.W, np.diag(sigma**2))
+    post = np.linalg.inv(np.linalg.inv(prior) + system.C.T @ np.diag(sigma**-2.0) @ system.C)
+    exact = {"apriori_trace": np.trace(prior), "aposteriori_trace": np.trace(post),
+             "apriori_logdet": np.linalg.slogdet(prior)[1], "aposteriori_logdet": np.linalg.slogdet(post)[1]}
+    slack = {kind: 1e-9 * max(1.0, abs(value)) for kind, value in exact.items()}
+    return all(reports[kind]["lower"] <= value + slack[kind]
+               and (reports[kind]["upper"] is None) == (not reports[kind]["applicable"])
+               and (reports[kind]["upper"] is None or value <= reports[kind]["upper"] + slack[kind])
+               for kind, value in exact.items())
 
 
 def matrix(rows, cols, entries):
@@ -154,13 +170,17 @@ class TestBoundsCommand:
         payload = json.loads(out)
         assert payload["apriori_trace"]["lower"] == payload["apriori_trace"]["upper"] == pytest.approx(20.0)
 
-    def test_non_diagonal_c_rejected(self, write_config, capsys):
+    def test_non_diagonal_c_windows_contain_scipy(self, write_config, capsys):
+        # a C that mixes the states gets all four windows; the a-priori
+        # log-det report has no per-channel eta and keeps its lower bound alone
         doc = case_study_doc()
         doc["system"]["C"] = matrix(2, 2, [[1.0, 0.5], [0.0, 1.0]])
         path = write_config(doc)
-        code, _, err = run(capsys, "bounds", "--config", path)
-        assert code == 1
-        assert "diagonal" in err
+        code, out, err = run(capsys, "bounds", "--config", path, "--json")
+        assert (code, err) == (0, "")
+        payload = strict_json(out)
+        assert contains_scipy(loads_config(json.dumps(doc)).system, np.array(payload["sigma"]), payload)
+        assert payload["apriori_logdet"]["applicable"] is False
 
 
 class TestPrivacyCompliance:
@@ -229,18 +249,35 @@ class TestDareCommand:
         assert code == 3
         assert "singular" in err.lower()
 
-    def test_variance_past_float_range_exits_one(self, write_config, capsys):
+    @pytest.mark.parametrize("H,exit_code", [([[0.5, 0.0], [0.0, 0.5]], 0), ([[1.0, 1.0], [0.0, 1.0]], 3)],
+                             ids=["stable", "case_study"])
+    def test_variance_past_float_range(self, H, exit_code, write_config, capsys):
         # adjacency_B = 1e200 gives sigma near 3e200, whose square passes
-        # float range: V is rejected by name, with no overflow warning
+        # float range; the solve never forms it, and warns of no overflow. A
+        # stable H reads scipy's trace on the whitened map C / sigma with unit
+        # noise. On the case study's double integrator the information per
+        # step, |C / sigma|^2 near 1e-401, is below float range: the
+        # iteration cannot converge, as at adjacency_B = 1e150 where the
+        # square is in range, and scipy finds no finite solution either
         doc = json.loads((CONFIGS / "case_study.json").read_text())
         doc["privacy"]["adjacency_B"] = 1e200
+        doc["system"]["H"]["entries"] = H
         path = write_config(doc)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             code, out, err = run(capsys, "dare", "--config", path, "--json")
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: V ")
+        assert code == exit_code
+        if code:
+            assert (out, err.startswith("error: Riccati iteration did not converge")) == ("", True)
+            return
+        assert err == ""
+        config = load_config(path)
+        system = config.system
+        sigma, _ = noise_scales(system, config.privacy.epsilon, config.privacy.delta, 1e200)
+        with warnings.catch_warnings():  # scipy's balancing warns on the tiny C / sigma
+            warnings.simplefilter("ignore", RuntimeWarning)
+            prior = solve_discrete_are(system.H.T, (system.C / sigma[:, None]).T, system.W, np.eye(system.q))
+        assert strict_json(out)["trace_prior"] == pytest.approx(np.trace(prior), rel=1e-9)
 
     def test_residual_reported_past_float_range(self, write_config, capsys):
         # W[0][0] = 1e155 puts |sigma|_F squared past float range; the
@@ -868,28 +905,20 @@ class TestConfigBoundaries:
         assert (code, out) == (1, "")
         assert err.startswith("error: agent 'quiet': noise scale below the (1.0, 0.01) minimum")
 
-    def test_compose_without_network_bounds_for_a_non_diagonal_map(self, write_config, capsys):
-        # a two-state agent whose output map mixes its states: the network has
-        # no bound window, and the rest of the report stands
-        path = write_config({"agents": [agent_doc("a"), agent_doc("mixed", C=((1.0, 1.0), (0.0, 1.0)))]})
-        code, out, _ = run(capsys, "compose", "--config", path, "--json")
-        assert code == 0
-        payload = json.loads(out)
-        assert "bounds" not in payload
-        assert payload["n"] == 3 and [a["id"] for a in payload["agents"]] == ["a", "mixed"]
-
     @pytest.mark.parametrize("as_json", [True, False], ids=["json", "text"])
-    def test_compose_says_why_it_has_no_network_bounds(self, write_config, capsys, as_json):
-        # the missing bounds are named on stderr, with the reason; stdout and
-        # the exit code are those of the report without them
+    def test_compose_bounds_a_non_diagonal_map(self, write_config, capsys, as_json):
+        # a two-state agent whose output map mixes its states: the network
+        # still has its bound window, around scipy's values, and stderr is empty
         path = write_config({"agents": [agent_doc("a"), agent_doc("mixed", C=((1.0, 1.0), (0.0, 1.0)))]})
         code, out, err = run(capsys, "compose", "--config", path, *(["--json"] if as_json else []))
-        assert code == 0
-        assert err.splitlines() == [
-            "note: no network-level bounds: C must be diagonal: max off-diagonal magnitude 1.000e+00 "
-            "exceeds 1e-12 * max |C_ii|"]
-        if as_json:
-            assert "bounds" not in json.loads(out)
+        assert (code, err) == (0, "")
+        if not as_json:
+            assert "\nbounds:\n" in out
+            return
+        payload = strict_json(out)
+        assert payload["n"] == 3 and [a["id"] for a in payload["agents"]] == ["a", "mixed"]
+        network = dpkalman.compose(dpkalman.build_agents(load_config(path).agents))
+        assert contains_scipy(network.system, network.sigma, payload["bounds"])
 
 
 class TestRepeatedKeys:
@@ -931,7 +960,7 @@ def _steady_state_plant(name: str) -> dict:
 class TestOneSteadyStatePath:
     # verify_calibration and `dare` take the steady state at the noise
     # scales from solve_filter: their traces equal those of solve_dare on
-    # V = diag(sigma^2) bit for bit
+    # the whitened map C / sigma with V = I bit for bit
     @pytest.mark.parametrize("plant", ["case_study", "slow_scalar", "dense"])
     @pytest.mark.parametrize("epsilon", [1.0, 0.1])
     def test_traces_equal_solve_dare(self, plant, epsilon, write_config, capsys):
@@ -939,7 +968,7 @@ class TestOneSteadyStatePath:
                "privacy": {"epsilon": epsilon, "delta": 1e-3, "adjacency_B": 1.0}}
         system = loads_config(json.dumps(doc)).system
         sigma, _ = noise_scales(system, epsilon, 1e-3, 1.0)
-        expected = np.trace(solve_dare(system, np.diag(sigma**2)).sigma)
+        expected = np.trace(solve_dare(replace(system, C=system.C / sigma[:, None]), np.eye(system.q)).sigma)
         target = CalibrationTarget(kind="apriori", B_l=1.0, B_u=2.0, delta=1e-3, adjacency_B=1.0)
         report = verify_calibration(system, target, epsilon)
         assert np.array_equal(np.full(system.q, report.sigma), sigma)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import solve_discrete_are
 
 from dpkalman import (
     AgentSpec,
@@ -14,7 +15,7 @@ from dpkalman import (
     run_filter,
     solve_filter,
 )
-from dpkalman.errors import DimensionMismatchError
+from dpkalman.errors import DimensionMismatchError, NotDetectableError, SingularMatrixError
 from dpkalman.filtering import FILTER_WINDOW
 from dpkalman.linalg import block_diag
 from helpers import any_scalar, case_study_system, reference_paths
@@ -354,3 +355,50 @@ class TestStatisticalBehavior:
         per_trial = tail.mean(axis=1)
         se = per_trial.std(axis=0, ddof=1) / math.sqrt(per_trial.shape[0])
         assert np.all(np.abs(mean) <= 3.0 * se)
+
+
+class TestWhitenedSolve:
+    # the scales enter only through C / sigma: scaling C and sigma together
+    # leaves that map as it is, and the covariances are scipy's on it with
+    # unit noise, the gain times the scale too
+    @pytest.mark.parametrize("scale", [1e-200, 1e-100, 1.0, 1e100, 1e200])
+    def test_matches_scipy_with_c_and_sigma_scaled_together(self, scale):
+        rng = np.random.default_rng(31)
+        H = rng.normal(size=(3, 3))
+        H *= 1.2 / np.max(np.abs(np.linalg.eigvals(H)))
+        C, body = rng.normal(size=(2, 3)), rng.normal(size=(3, 3))
+        W, sigma = body @ body.T / 3 + np.eye(3), rng.uniform(0.5, 2.0, size=2)
+        whitened = C / sigma[:, None]
+        prior = solve_discrete_are(H.T, whitened.T, W, np.eye(2))
+        post = np.linalg.inv(np.linalg.inv(prior) + whitened.T @ whitened)
+        ric = solve_filter(SystemModel(H=H, C=scale * C, W=W, x0_hat=np.zeros(3)), scale * sigma).riccati
+        np.testing.assert_allclose(ric.sigma, prior, rtol=1e-8)
+        np.testing.assert_allclose(ric.sigma_bar, post, rtol=1e-8)
+        np.testing.assert_allclose(ric.gain * scale, post @ whitened.T / sigma, rtol=1e-8)
+
+    @pytest.mark.parametrize("spread", [1e5, 1e9, 1e13, 1e100])
+    def test_a_negligible_channel_is_still_a_channel(self, spread):
+        # the observability test reads each whitened row at unit scale, so a
+        # second channel whose signal-to-noise is negligible beside the first
+        # does not reject the plant: two decoupled scalar plants, the first
+        # at p = (1/4 + sqrt(1/16 + 4)) / 2 from p^2 - p/4 - 1 = 0, the second
+        # at its open-loop variance 1 / (1 - 1/4)
+        system = SystemModel(H=0.5 * np.eye(2), C=np.eye(2), W=np.eye(2), x0_hat=np.zeros(2))
+        exact = np.diag([(0.25 + math.sqrt(0.0625 + 4.0)) / 2.0, 4.0 / 3.0])
+        np.testing.assert_allclose(solve_filter(system, [1.0, spread]).riccati.sigma, exact, rtol=1e-9)
+
+    @pytest.mark.parametrize("C,sigma,error", [
+        ([[1.0, 0.0], [0.0, 0.0]], [1.0, 0.0], SingularMatrixError),
+        ([[1.0, 0.0], [0.0, 1.0]], [1.0, 1e-160], SingularMatrixError),
+        ([[1e-310, 0.0], [0.0, 1e-310]], [1e-310, 1e-310], SingularMatrixError),
+        ([[0.0, 0.0], [0.0, 0.0]], [0.0, 1.0], NotDetectableError),
+    ], ids=["zero-on-a-silent-channel", "information-past-float-range", "gain-past-float-range",
+            "unobservable-first"])
+    def test_singular_noise_after_the_detectability_test(self, C, sigma, error):
+        # a scale that leaves (C / sigma)^T (C / sigma) or the gain, about
+        # 1 / sigma here, past float range is a singular noise covariance,
+        # reported as solve_dare would: an unobservable pair first, and with
+        # no overflow warning
+        system = SystemModel(H=case_study_system().H, C=C, W=np.eye(2), x0_hat=np.zeros(2))
+        with pytest.raises(error):
+            solve_filter(system, np.array(sigma))

@@ -294,6 +294,14 @@ class TestPosteriorCovariance:
         out = self.posterior([[1.0]], [[1.0]], [[1.0]])
         assert out[0, 0] == pytest.approx(0.5)
 
+    def test_singular_to_working_precision_is_a_numerical_error(self):
+        # channels whose information differs by most of float range can leave
+        # sigma^-1 + C^T V^-1 C singular in floating point (seen on a dense
+        # 3-channel map at scales 7e64, 1e-81 and 8e-44); that is exit 3, not
+        # numpy's own LinAlgError
+        with pytest.raises(SingularMatrixError, match="working precision"):
+            dpkalman.linalg._posterior(np.eye(2), -np.eye(2))
+
     def test_huge_noise_returns_prior(self):
         rng = np.random.default_rng(5)
         A = rng.normal(size=(3, 3))

@@ -1,6 +1,7 @@
 import ast
 import importlib.util
 from pathlib import Path
+from types import SimpleNamespace
 
 _ROOT = Path(__file__).resolve().parents[1]
 _SPEC = importlib.util.spec_from_file_location("mutants", _ROOT / "scripts" / "mutants.py")
@@ -53,3 +54,38 @@ def test_each_numeric_constant_nudges_alone(tmp_path):
     assert values == [[2e-9, 5, 0, 1], [5e-10, 5, 0, 1], [1e-9, 10, 0, 1], [1e-9, 2, 0, 1],
                       [1e-9, 5, 0, 2], [1e-9, 5, 0, 0]]
     assert all(type(v[1]) is int for v in values)
+
+
+def fake_checkout(root, test_body):
+    # a one-module package with one test, laid out as the project is
+    (root / mutants.PACKAGE).mkdir(parents=True)
+    (root / mutants.PACKAGE / "inside.py").write_text("def inside(x):\n    return x < 1\n")
+    (root / "tests").mkdir()
+    (root / "tests" / "test_inside.py").write_text(f"from dpkalman.inside import inside\n\n\n"
+                                                   f"def test_inside():\n    {test_body}\n")
+
+
+def test_a_failing_suite_stops_the_run_before_any_mutant(tmp_path, monkeypatch, capsys):
+    # with every mutant "killed" by a suite that fails anyway, the run
+    # would report 0 survivors
+    fake_checkout(tmp_path, "assert inside(5)")
+    monkeypatch.setattr(mutants, "ROOT", tmp_path)
+    assert mutants.main(["inside"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "the unmutated suite fails" in err
+
+
+def test_mutants_time_out_at_a_multiple_of_the_suite(tmp_path, monkeypatch, capsys):
+    # the unmutated run has no timeout; each mutant's is TIMEOUT_FACTOR
+    # times that run's duration
+    fake_checkout(tmp_path, "assert inside(0)")
+    monkeypatch.setattr(mutants, "ROOT", tmp_path)
+    clock = iter([100.0, 103.0])
+    monkeypatch.setattr(mutants, "time", SimpleNamespace(monotonic=lambda: next(clock)))
+    timeouts = []
+    run = mutants.subprocess.run
+    monkeypatch.setattr(mutants.subprocess, "run", lambda *a, **kw: timeouts.append(kw["timeout"]) or run(*a, **kw))
+    assert mutants.main(["inside"]) == 1  # x <= 1 passes the one test
+    assert timeouts == [None, 3.0 * mutants.TIMEOUT_FACTOR]
+    assert capsys.readouterr().out.endswith("1 survivor(s)\n  inside.py:2  x <= 1\n")

@@ -375,7 +375,7 @@ class TestWriteCsv:
         path = tmp_path / "out.csv"
         write_csv(res, path)
         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        assert digest == "c8619d41455ee52a0cbcfd2e91492364ce3dfef09725dc1b67404c0d1062a95f"
+        assert digest == "7f8c168f33980ce9cc9c9b9212ea945a62c3cfb55d043253403caf249ae59dcb"
 
 
 _SIZES = st.one_of(st.integers(1, 3), st.booleans(), st.floats(allow_nan=True, allow_infinity=True),
