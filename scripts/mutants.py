@@ -2,15 +2,17 @@
 
     python3 scripts/mutants.py [MODULE ...]
 
-Three kinds of mutation run on the named modules of ``src/dpkalman`` (file
+Four kinds of mutation run on the named modules of ``src/dpkalman`` (file
 stems such as ``linalg``; default: every module), one site at a time: each
 ``<``, ``<=``, ``>`` and ``>=`` is flipped to its neighbour, ``<`` with ``<=``
 and ``>`` with ``>=``; each call of ``min`` or ``max``, as a name
 (``min(a, b)``) or an attribute (``np.max(x)``, ``x.min()``), is swapped for
-the other; and each module-level constant assigned an int or float literal
+the other; each module-level constant assigned an int or float literal
 (``CHUNK_STEPS = 8``, ``DARE_RESIDUAL_TOL = 1e-10``) is doubled and, apart,
 halved, an int by floor division so that it stays an int; a nudge that leaves
-the value as it was is not a mutant. Each mutant runs
+the value as it was is not a mutant; and each ``raise`` statement is replaced
+by ``pass``, shown as ``pass  # raise ...``, so that the code after a guard
+runs on the input the guard refused. Each mutant runs
 ``python -m pytest -x -q tests`` in a copy of the checkout in a temporary
 directory, strictly one process at a time; the checkout itself is not edited.
 The unmutated suite runs there first: if it fails, no mutant can be told
@@ -90,15 +92,29 @@ def _numeric_constant(node: ast.stmt) -> bool:
             and type(node.value.value) in (int, float))
 
 
+def _raises(tree: ast.AST) -> dict:
+    """Each ``raise`` statement of ``tree``, mapped to the statement list that holds it and its index there."""
+    return {stmt: (body, i) for node in ast.walk(tree) for field in ("body", "orelse", "finalbody")
+            if isinstance(body := getattr(node, field, None), list)
+            for i, stmt in enumerate(body) if isinstance(stmt, ast.Raise)}
+
+
 def mutants(path: Path):
     """Yield (line, mutated expression, mutated module source) for each mutant of ``path``."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
+    raises = _raises(tree)
     sites = sorted([*(node for node in ast.walk(tree)
                       if isinstance(node, ast.Compare)
                       or isinstance(node, ast.Call) and _min_max_field(node.func)),
-                    *filter(_numeric_constant, tree.body)],
+                    *filter(_numeric_constant, tree.body), *raises],
                    key=lambda node: (node.lineno, node.col_offset))
     for node in sites:
+        if isinstance(node, ast.Raise):
+            body, i = raises[node]
+            body[i] = ast.Pass()
+            yield node.lineno, f"pass  # {ast.unparse(node)}", ast.unparse(tree)
+            body[i] = node
+            continue
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             value = node.value.value
             for nudged in (value * NUDGE, value // NUDGE if isinstance(value, int) else value / NUDGE):

@@ -8,7 +8,7 @@ per-channel noise scales arise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -16,12 +16,12 @@ import numpy as np
 from .errors import DimensionMismatchError, EmptyNetworkError, ValidationError
 from .filtering import FilterSolution
 from .linalg import SystemModel, _as_instance, block_diag
-from .privacy import PrivacyConfig
+from .privacy import PrivacyConfig, paired_scales
 
 
 @dataclass(frozen=True, eq=False)
 class AgentSpec:
-    """One agent: an identifier, its system, and its privacy configuration."""
+    """One agent: an identifier, its system, and privacy whose scales are compliant for it."""
 
     id: str
     system: SystemModel
@@ -30,21 +30,34 @@ class AgentSpec:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise ValidationError("agent id must be a nonempty string")
-        _as_instance(self.system, SystemModel, "agent system")
-        if _as_instance(self.privacy, PrivacyConfig, "agent privacy").sigma.shape[0] != self.system.q:
-            raise DimensionMismatchError(
-                f"agent {self.id!r}: privacy has {self.privacy.sigma.shape[0]} noise scales, "
-                f"system has {self.system.q} channels"
-            )
+        paired_scales(_as_instance(self.system, SystemModel, "agent system"),
+                      _as_instance(self.privacy, PrivacyConfig, "agent privacy"))
 
 
 @dataclass(frozen=True, eq=False)
 class NetworkModel:
-    """Composed network with per-agent index ranges into the stacked state."""
+    """Composed network of ``agents``; the stacked ``system`` and state ``offsets`` derive from them."""
 
     agents: tuple[AgentSpec, ...]
-    system: SystemModel
-    offsets: tuple[tuple[int, int], ...]
+    system: SystemModel = field(init=False)
+    offsets: tuple[tuple[int, int], ...] = field(init=False)
+
+    def __post_init__(self):
+        try:
+            agents = tuple(_as_instance(a, AgentSpec, "agent") for a in self.agents)
+        except TypeError:
+            raise ValidationError(f"agents must be a sequence, got {type(self.agents).__name__}") from None
+        if not agents:
+            raise EmptyNetworkError("cannot compose an empty agent list")
+        ids = [a.id for a in agents]
+        if len(set(ids)) != len(ids):
+            raise ValidationError(f"agent ids must be unique, got {ids}")
+        ends = np.cumsum([a.system.n for a in agents]).tolist()
+        system = SystemModel(*(block_diag([getattr(a.system, m) for a in agents]) for m in "HCW"),
+                             x0_hat=np.concatenate([a.system.x0_hat for a in agents]))
+        object.__setattr__(self, "agents", agents)
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "offsets", tuple(zip([0, *ends[:-1]], ends)))
 
     @property
     def sigma(self) -> np.ndarray:
@@ -53,27 +66,8 @@ class NetworkModel:
 
 
 def compose(agents: Sequence[AgentSpec]) -> NetworkModel:
-    """Stack agents in order into one block-diagonal system."""
-    try:
-        agents = tuple(_as_instance(a, AgentSpec, "agent") for a in agents)
-    except TypeError:
-        raise ValidationError(f"agents must be a sequence, got {type(agents).__name__}") from None
-    if not agents:
-        raise EmptyNetworkError("cannot compose an empty agent list")
-    ids = [a.id for a in agents]
-    if len(set(ids)) != len(ids):
-        raise ValidationError(f"agent ids must be unique, got {ids}")
-    H = block_diag([a.system.H for a in agents])
-    C = block_diag([a.system.C for a in agents])
-    W = block_diag([a.system.W for a in agents])
-    x0 = np.concatenate([a.system.x0_hat for a in agents])
-    offsets = []
-    start = 0
-    for a in agents:
-        offsets.append((start, start + a.system.n))
-        start += a.system.n
-    system = SystemModel(H=H, C=C, W=W, x0_hat=x0)
-    return NetworkModel(agents=agents, system=system, offsets=tuple(offsets))
+    """Stack agents in order into one block-diagonal system: ``NetworkModel(agents)``."""
+    return NetworkModel(agents)
 
 
 def per_agent_slices(network: NetworkModel, sol: FilterSolution) -> dict[str, tuple[float, float]]:

@@ -48,15 +48,21 @@ def sensitivity_bound(C, adjacency_B: float) -> float:
     return float(s[0]) * radius
 
 
-def gaussian_sigma(epsilon: float, delta: float, sensitivity: float) -> float:
-    """Minimal compliant Gaussian noise scale for (epsilon, delta)-privacy."""
+def _level(epsilon, delta) -> tuple[float, float]:
+    # (epsilon, delta) as floats in the domain of the Gaussian mechanism
     epsilon = _as_real(epsilon, "epsilon")
     delta = _as_real(delta, "delta")
-    sensitivity = _as_real(sensitivity, "sensitivity")
     if not epsilon > 0.0:
         raise OutOfDomainError(f"epsilon must be positive, got {epsilon}")
     if not 0.0 < delta < 0.5:
         raise OutOfDomainError(f"delta must lie in (0, 0.5), got {delta}")
+    return epsilon, delta
+
+
+def gaussian_sigma(epsilon: float, delta: float, sensitivity: float) -> float:
+    """Minimal compliant Gaussian noise scale for (epsilon, delta)-privacy."""
+    epsilon, delta = _level(epsilon, delta)
+    sensitivity = _as_real(sensitivity, "sensitivity")
     if not sensitivity >= 0.0:
         raise OutOfDomainError(f"sensitivity must be nonnegative, got {sensitivity}")
     if math.isinf(epsilon):
@@ -82,21 +88,30 @@ def noise_scales(system, epsilon: float, delta: float, adjacency_B: float,
     needs one nonnegative entry per channel. Compliance is
     :func:`meets_minimum` against that minimal scale.
     """
+    return _paired(system, epsilon, delta, adjacency_B, sigma, check=False)
+
+
+def paired_scales(system, privacy: "PrivacyConfig") -> np.ndarray:
+    """The scales of ``privacy`` on ``system``, if :func:`noise_scales` finds them compliant."""
+    return _paired(system, privacy.epsilon, privacy.delta, privacy.adjacency_B, privacy.sigma, check=True)[0]
+
+
+def _paired(system, epsilon, delta, adjacency_B, sigma, *, check: bool) -> tuple[np.ndarray, bool]:
+    # noise_scales, raising for a vector it finds not compliant if check is
+    # set; a ragged nesting has no ndim, and _nonnegative rejects it
     minimal = gaussian_sigma(epsilon, delta, sensitivity_bound(system.C, adjacency_B))
-    vec = _scales(system, minimal, sigma)
-    return vec, meets_minimum(vec, minimal)
-
-
-def _scales(system, minimal: float, sigma) -> np.ndarray:
-    # the scale vector of noise_scales, given its minimal scale; a ragged
-    # nesting has no ndim, and _nonnegative rejects it as not an array of numbers
     if sigma is None:
         sigma = minimal
     try:
         scalar = np.ndim(sigma) == 0
     except ValueError:
         scalar = False
-    return _nonnegative(np.full(system.q, sigma) if scalar else sigma, system.q)
+    vec = _nonnegative(np.full(system.q, sigma) if scalar else sigma, system.q)
+    compliant = meets_minimum(vec, minimal)
+    if check and not compliant:
+        raise ValidationError(f"noise scale below the ({epsilon}, {delta}) minimum {minimal:.6g}: "
+                              f"got {vec.min():.6g}")
+    return vec, compliant
 
 
 def _nonnegative(sigma, length: int | None = None) -> np.ndarray:
@@ -128,35 +143,24 @@ def privatize(y, sigma, rng_seed: int, *, stream_index: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class PrivacyConfig:
-    """Privacy parameters together with the per-channel noise scales.
+    """Privacy parameters and per-channel noise scales, checked on their own.
 
-    ``sigma`` may exceed the minimal scale (extra noise is always compliant).
-    Scales below the minimum are rejected beyond a small rounding slack that
-    accepts published values truncated to a few digits.
+    Compliance depends on the output map the scales protect, so
+    :func:`paired_scales` checks it wherever a config meets a system.
     """
 
     epsilon: float
     delta: float
     adjacency_B: float
-    sensitivity: float
     sigma: np.ndarray
 
     def __post_init__(self):
-        floor = gaussian_sigma(self.epsilon, self.delta, self.sensitivity)
+        _level(self.epsilon, self.delta)
         _radius(self.adjacency_B)
-        vec = _nonnegative(self.sigma)
-        if not meets_minimum(vec, floor):
-            raise ValidationError(
-                f"noise scale below the ({self.epsilon}, {self.delta}) minimum {floor:.6g}: "
-                f"got {vec.min():.6g}"
-            )
-        _freeze(self, sigma=vec)
+        _freeze(self, sigma=_nonnegative(self.sigma))
 
     @classmethod
     def for_system(cls, system, epsilon: float, delta: float, adjacency_B: float,
                    sigma=None) -> "PrivacyConfig":
-        """Build a config for ``system`` with the scales of :func:`noise_scales`."""
-        sensitivity = sensitivity_bound(system.C, adjacency_B)
-        vec = _scales(system, gaussian_sigma(epsilon, delta, sensitivity), sigma)
-        return cls(epsilon=epsilon, delta=delta, adjacency_B=adjacency_B,
-                   sensitivity=sensitivity, sigma=vec)
+        """Build a config for ``system`` with the scales of :func:`noise_scales`, if compliant."""
+        return cls(epsilon, delta, adjacency_B, _paired(system, epsilon, delta, adjacency_B, sigma, check=True)[0])

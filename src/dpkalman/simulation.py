@@ -61,7 +61,7 @@ from .filtering import FilterSolution, solve_filter
 from .linalg import (SystemModel, _as_int, _as_size, _freeze, _in_float_range, as_matrix, require_symmetric,
                      symmetric_factor)
 from .network import NetworkModel
-from .privacy import PrivacyConfig
+from .privacy import PrivacyConfig, paired_scales
 from .rng import STREAM_INIT, STREAM_PRIVACY, STREAM_PROCESS, gaussian_generator
 
 CSV_HEADER = (
@@ -98,8 +98,8 @@ CHUNK_STEPS = 8
 class SimulationConfig:
     """Inputs of one Monte Carlo run.
 
-    ``system`` is a single system (with ``privacy`` supplying the noise
-    scales) or a composed network (whose agents carry their own privacy).
+    ``system`` is a single system (with ``privacy`` supplying noise scales
+    compliant for it) or a composed network (whose agents carry their own).
     By default the true initial state equals the public mean prediction;
     pass ``x0_cov`` for a Gaussian spread around it.
     """
@@ -125,6 +125,8 @@ class SimulationConfig:
                 raise ValidationError("a network carries per-agent privacy; top-level privacy must be None")
         elif self.privacy is None:
             raise ValidationError("a single-system simulation needs a privacy configuration")
+        else:
+            paired_scales(self.system, self.privacy)
         factor = None
         if self.x0_cov is not None:
             cov = require_symmetric(as_matrix(self.x0_cov, "x0_cov"), "x0_cov")

@@ -440,7 +440,7 @@ def _frozen_models():
 
     def privacy():
         inputs = [np.full(2, 100.0)]
-        return PrivacyConfig(1.0, 1e-3, 1.0, 1.0, *inputs), ("sigma",), inputs
+        return PrivacyConfig(1.0, 1e-3, 1.0, *inputs), ("sigma",), inputs
 
     def simulation():
         inputs = [np.eye(2)]

@@ -56,6 +56,23 @@ def test_each_numeric_constant_nudges_alone(tmp_path):
     assert all(type(v[1]) is int for v in values)
 
 
+
+def test_each_raise_drops_alone(tmp_path):
+    # a raise in a function body, in an else branch and a bare re-raise in
+    # a handler: each mutant replaces one of them by pass and keeps the others
+    path = tmp_path / "guards.py"
+    path.write_text("def check(x):\n    if x < 0:\n        raise ValueError('negative')\n"
+                    "    else:\n        raise KeyError(x)\n\n\n"
+                    "def again():\n    try:\n        check(1)\n    except KeyError:\n        raise\n")
+    drops = [(line, text) for line, text, _ in mutants.mutants(path) if text.startswith("pass")]
+    assert drops == [(3, "pass  # raise ValueError('negative')"), (5, "pass  # raise KeyError(x)"),
+                     (12, "pass  # raise")]
+    sources = [source for _, text, source in mutants.mutants(path) if text.startswith("pass")]
+    assert [source.count("raise") for source in sources] == [2, 2, 2]
+    assert "if x < 0:\n        pass\n    else:\n        raise KeyError(x)" in sources[0]
+    assert "except KeyError:\n        pass" in sources[2]
+    assert path.read_text().count("raise") == 3
+
 def fake_checkout(root, test_body):
     # a one-module package with one test, laid out as the project is
     (root / mutants.PACKAGE).mkdir(parents=True)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -75,11 +76,33 @@ class TestCompose:
             compose([scalar_agent("twin", 1.0), scalar_agent("twin", 0.5)])
 
 
+class TestNetworkModel:
+    def test_takes_its_agents_only(self):
+        # the stacked system and the offsets are derived, never passed in
+        agents = (agent("plane", case_study_system(), epsilon=LN3, delta=0.001), scalar_agent("dot", 0.5))
+        assert [f.name for f in dataclasses.fields(NetworkModel) if f.init] == ["agents"]
+        with pytest.raises(TypeError):
+            NetworkModel(agents, system=case_study_system(), offsets=((0, 2), (2, 3)))
+        network = NetworkModel(list(agents))
+        assert network.agents == agents
+        assert network.offsets == ((0, 2), (2, 3))
+        for name in ("H", "C", "W"):
+            np.testing.assert_array_equal(getattr(network.system, name),
+                                          block_diag([getattr(a.system, name) for a in agents]))
+        np.testing.assert_array_equal(network.system.x0_hat, np.zeros(3))
+
+
 class TestAgentSpec:
     def test_rejects_the_wrong_number_of_noise_scales(self):
         # a one-channel privacy on the two-channel case study
-        with pytest.raises(DimensionMismatchError, match="privacy has 1 noise scales, system has 2 channels"):
+        with pytest.raises(DimensionMismatchError, match="sigma must have length 2, got 1"):
             AgentSpec(id="a", system=case_study_system(), privacy=scalar_agent("b", 0.5).privacy)
+
+    @pytest.mark.parametrize("agent_id", ["", 7, None])
+    def test_rejects_an_id_that_is_not_a_nonempty_string(self, agent_id):
+        dot = scalar_agent("b", 0.5)
+        with pytest.raises(ValidationError, match="agent id must be a nonempty string"):
+            AgentSpec(id=agent_id, system=dot.system, privacy=dot.privacy)
 
 
 class TestPerAgentSlices:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -7,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.stats import norm
 
 import dpkalman.privacy
-from dpkalman import PrivacyConfig, ValidationError, privatize
+from dpkalman import AgentSpec, PrivacyConfig, SimulationConfig, SystemModel, ValidationError, privatize
 from dpkalman.errors import DPKalmanError, NonPositiveSigmaError, OutOfDomainError
-from dpkalman.privacy import (SIGMA_ROUNDING_SLACK, gaussian_sigma, meets_minimum, noise_scales, q_inverse,
-                              sensitivity_bound)
+from dpkalman.privacy import (SIGMA_ROUNDING_SLACK, gaussian_sigma, meets_minimum, noise_scales, paired_scales,
+                              q_inverse, sensitivity_bound)
 from dpkalman.rng import STREAM_PRIVACY, gaussian_generator
 from helpers import any_scalar, case_study_system
 
@@ -228,7 +229,7 @@ class TestPrivacyConfig:
     def test_minimal_scale_by_default(self):
         system = case_study_system()
         cfg = PrivacyConfig.for_system(system, epsilon=LN3, delta=0.001, adjacency_B=1.0)
-        assert cfg.sensitivity == pytest.approx(1.0)
+        assert [f.name for f in dataclasses.fields(cfg)] == ["epsilon", "delta", "adjacency_B", "sigma"]
         np.testing.assert_allclose(cfg.sigma, np.full(2, 2.966281680892255))
 
     def test_published_rounding_accepted(self):
@@ -242,11 +243,11 @@ class TestPrivacyConfig:
             PrivacyConfig.for_system(system, epsilon=LN3, delta=0.001, adjacency_B=1.0, sigma=1.0)
 
     @pytest.mark.parametrize(
-        "field,value", [("epsilon", 0.0), ("delta", 0.5), ("sensitivity", -1.0), ("adjacency_B", 0.0),
+        "field,value", [("epsilon", 0.0), ("delta", 0.5), ("adjacency_B", 0.0),
                         ("adjacency_B", math.nan), ("adjacency_B", math.inf), ("adjacency_B", -math.inf)]
     )
     def test_direct_construction_checks_parameters(self, field, value):
-        kwargs = dict(epsilon=1.0, delta=0.01, adjacency_B=1.0, sensitivity=1.0, sigma=np.array([10.0]))
+        kwargs = dict(epsilon=1.0, delta=0.01, adjacency_B=1.0, sigma=np.array([10.0]))
         kwargs[field] = value
         with pytest.raises(OutOfDomainError):
             PrivacyConfig(**kwargs)
@@ -262,7 +263,6 @@ class TestPrivacyConfig:
         monkeypatch.setattr(dpkalman.privacy, "sensitivity_bound", counted)
         cfg = PrivacyConfig.for_system(case_study_system(), epsilon=LN3, delta=0.001, adjacency_B=1.0)
         assert len(calls) == 1
-        assert cfg.sensitivity == bound(case_study_system().C, 1.0)
         assert np.array_equal(cfg.sigma, noise_scales(case_study_system(), LN3, 0.001, 1.0)[0])
 
     def test_oversized_scales_allowed(self):
@@ -279,6 +279,11 @@ class TestNoiseScales:
         assert self.scales([2.96, 5.0])[1] is True
         assert self.scales([5.0, 2.9])[1] is False
 
+    def test_rounding_slack_is_half_a_percent(self):
+        # the README's 0.5 %: 0.995 times the minimum 2.96628 is 2.95145
+        assert self.scales([2.952, 5.0])[1] is True
+        assert self.scales([5.0, 2.951])[1] is False
+
     @pytest.mark.parametrize("sigma", [[0.0, [0.001]], ([1.0], 2.0)])
     def test_ragged_scales_rejected(self, sigma):
         # a ragged nesting has no ndim; it is an error of the library, not of numpy
@@ -290,6 +295,56 @@ class TestNoiseScales:
         vec, compliant = self.scales(0.0)
         np.testing.assert_array_equal(vec, [0.0, 0.0])
         assert compliant is False
+
+
+def _accepts(make) -> bool:
+    # whether make() returns rather than rejecting its noise scales
+    try:
+        make()
+    except ValidationError as exc:
+        assert "noise scale below" in str(exc)
+        return False
+    return True
+
+
+class TestPairing:
+    # a scale is compliant only for the output map it was computed for, and
+    # every place a config meets a system checks it through noise_scales
+    def test_scale_certified_for_a_small_output_map_is_rejected_on_a_large_one(self):
+        small = SystemModel(H=[[0.5]], C=[[1e-3]], W=[[1.0]], x0_hat=[0.0])
+        large = SystemModel(H=[[0.5]], C=[[1e3]], W=[[1.0]], x0_hat=[0.0])
+        cfg = PrivacyConfig.for_system(small, epsilon=1.0, delta=0.001, adjacency_B=1.0)
+        assert f"{cfg.sigma[0]:.6g}" == "0.00324435"
+        AgentSpec(id="a", system=small, privacy=cfg)
+        SimulationConfig(system=small, privacy=cfg, horizon_T=5, trials=1, seed=0)
+        message = r"noise scale below the \(1.0, 0.001\) minimum 3244.35: got 0.00324435$"
+        with pytest.raises(ValidationError, match=message):
+            AgentSpec(id="a", system=large, privacy=cfg)
+        with pytest.raises(ValidationError, match=message):
+            SimulationConfig(system=large, privacy=cfg, horizon_T=5, trials=1, seed=0)
+        with pytest.raises(ValidationError, match=message):
+            PrivacyConfig.for_system(large, epsilon=1.0, delta=0.001, adjacency_B=1.0, sigma=cfg.sigma)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_accepted_exactly_when_noise_scales_finds_them_compliant(self, seed):
+        # random dense output maps over twelve decades and scales within 2 %
+        # of the minimum, on both sides of the rounding slack
+        rng = np.random.default_rng(seed)
+        outcomes = set()
+        for _ in range(50):
+            n, q = (int(k) for k in rng.integers(1, 4, size=2))
+            system = SystemModel(H=0.5 * np.eye(n), C=rng.normal(size=(q, n)) * 10.0 ** rng.uniform(-6, 6),
+                                 W=np.eye(n), x0_hat=np.zeros(n))
+            epsilon, delta, radius = 10.0 ** rng.uniform(-2, 1), rng.uniform(1e-4, 0.1), rng.uniform(0.5, 2.0)
+            sigma = noise_scales(system, epsilon, delta, radius)[0] * rng.uniform(0.98, 1.02, size=q)
+            compliant = noise_scales(system, epsilon, delta, radius, sigma)[1]
+            cfg = PrivacyConfig(epsilon=epsilon, delta=delta, adjacency_B=radius, sigma=sigma)
+            assert _accepts(lambda: AgentSpec(id="a", system=system, privacy=cfg)) is compliant
+            assert _accepts(lambda: SimulationConfig(system=system, privacy=cfg, horizon_T=5, trials=1,
+                                                     seed=0)) is compliant
+            assert _accepts(lambda: PrivacyConfig.for_system(system, epsilon, delta, radius, sigma)) is compliant
+            outcomes.add(compliant)
+        assert outcomes == {True, False}
 
 
 _SCALES = st.one_of(any_scalar(), st.lists(st.one_of(st.floats(0.0, 10.0), any_scalar()), max_size=3))
@@ -307,13 +362,11 @@ class TestMalformedInputs:
         except DPKalmanError:
             pass
 
-    @given(epsilon=any_scalar(), delta=any_scalar(), adjacency_B=any_scalar(),
-           sensitivity=any_scalar(), sigma=_SCALES)
+    @given(epsilon=any_scalar(), delta=any_scalar(), adjacency_B=any_scalar(), sigma=_SCALES)
     @settings(max_examples=60, deadline=None)
-    def test_direct_construction(self, epsilon, delta, adjacency_B, sensitivity, sigma):
+    def test_direct_construction(self, epsilon, delta, adjacency_B, sigma):
         try:
-            PrivacyConfig(epsilon=epsilon, delta=delta, adjacency_B=adjacency_B,
-                          sensitivity=sensitivity, sigma=sigma)
+            PrivacyConfig(epsilon=epsilon, delta=delta, adjacency_B=adjacency_B, sigma=sigma)
         except DPKalmanError:
             pass
 
@@ -343,14 +396,14 @@ class TestDocumentedBoundaries:
         edge = minimal * (1.0 - SIGMA_ROUNDING_SLACK)
         assert meets_minimum([edge], minimal)
         assert not meets_minimum([math.nextafter(edge, 0.0)], minimal)
-        cfg = PrivacyConfig(epsilon=LN3, delta=0.001, adjacency_B=1.0, sensitivity=1.0, sigma=[edge])
-        assert cfg.sigma[0] == edge
+        cfg = PrivacyConfig(epsilon=LN3, delta=0.001, adjacency_B=1.0, sigma=[edge, edge])
+        assert np.array_equal(paired_scales(case_study_system(), cfg), [edge, edge])
 
     def test_scale_below_the_minimum_names_the_smallest_scale(self):
         minimal = gaussian_sigma(LN3, 0.001, 1.0)
+        cfg = PrivacyConfig(epsilon=LN3, delta=0.001, adjacency_B=1.0, sigma=[10.0 * minimal, minimal / 2])
         with pytest.raises(ValidationError, match=f"got {minimal / 2:.6g}$"):
-            PrivacyConfig(epsilon=LN3, delta=0.001, adjacency_B=1.0, sensitivity=1.0,
-                          sigma=[10.0 * minimal, minimal / 2])
+            paired_scales(case_study_system(), cfg)
 
     def test_zero_delta_rejected_by_the_sigma_rule(self):
         with pytest.raises(OutOfDomainError, match=r"delta must lie in \(0, 0.5\), got 0.0"):
